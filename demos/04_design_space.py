@@ -1,9 +1,11 @@
 """Enumerate the backbone design space with an e-graph and extract the best.
 
 Regroup moves generate exactly the Catalan-many binary associations of the
-carry cone.  Saturating an e-graph under the associativity rewrite captures
-them all compactly; dynamic-programming extraction then finds the minimum-cost
-tree for a given arrival profile, and a regroup trace to reach it is derived.
+carry cone.  The e-graph saturated under the associativity rewrite captures
+them all compactly and has a closed form: one e-class per bit range and one
+e-node per split point.  Dynamic-programming extraction over the ranges then
+finds the minimum-cost tree for a given arrival profile, and a regroup trace
+to reach it is derived.
 """
 
 from __future__ import annotations

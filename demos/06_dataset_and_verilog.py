@@ -1,7 +1,8 @@
 """Generate training samples from optimization traces and export Verilog.
 
-Perturbed extraction draws diverse near-optimal backbones from a saturated
-e-graph; the deficiency filter keeps those whose completion adds no extra
+Perturbed extraction draws diverse near-optimal backbones from the interval
+e-graph (one e-class per bit range, one e-node per split point); the
+deficiency filter keeps those whose completion adds no extra
 depth.  Each survivor's regroup trace becomes a multi-turn tool-call sample.
 Finally a refined design is emitted as structural Verilog and re-simulated.
 """

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 invalid configuration or failed verification,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -99,10 +100,7 @@ class RunConfig:
         profile = _resolve_profile(args.profile, args.bits, model, args.seed)
         target = None
         if getattr(args, "target", None) is not None:
-            try:
-                target = float(args.target)
-            except ValueError as exc:
-                raise ConfigError(f"--target must be a number: {args.target!r}") from exc
+            target = _parse_target(args.target)
         return cls(
             width=args.bits,
             profile=profile,
@@ -113,6 +111,16 @@ class RunConfig:
             policy_spec=args.policy,
             out=args.out,
         )
+
+
+def _parse_target(text: str) -> float:
+    try:
+        target = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"--target must be a number: {text!r}") from exc
+    if not math.isfinite(target) or target < 0:
+        raise ConfigError(f"--target must be a finite delay >= 0, got {text!r}")
+    return target
 
 
 def _resolve_profile(
@@ -296,10 +304,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     if raw_targets is None:
         raise ConfigError("eval needs --target with one or more comma-separated delays")
-    try:
-        targets = [float(t) for t in str(raw_targets).split(",") if t.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --target list: {raw_targets!r}") from exc
+    targets = [_parse_target(t) for t in str(raw_targets).split(",") if t.strip()]
     if not targets:
         raise ConfigError("empty --target list")
     out = cfg.out or "."
@@ -341,12 +346,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.design, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        graph = parse_epr(text)
-    except EprParseError as exc:
-        print(f"verify: parse error: {exc}", file=sys.stderr)
-        return 1
+        graph = parse_epr(fh.read())
     report = validate(graph)
     if not report.ok:
         for v in report.violations:
@@ -427,10 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, EprParseError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,22 +1,26 @@
-"""Equality saturation over backbone shapes.
+"""Equality saturation over backbone shapes, in closed form.
 
 The single rewrite is associativity of the group operator,
 
     (o (o x y) z)  <=>  (o x (o y z)),
 
-which preserves the bit range of every term, so each e-class corresponds to
-one contiguous bit range and the saturated e-graph of an n-bit backbone
+which preserves the bit range of every term.  Every tree over bits
+``0..n-1`` reaches every other by these rewrites, so the saturated e-graph
+of an n-bit backbone is known without running the rewrites: one e-class per
+bit range ``[lo, hi]``, holding a leaf when ``lo == hi`` and otherwise one
+e-node per split point ``k = lo+1..hi`` (operands ``[lo, k-1]`` and
+``[k, hi]``).  That is n(n+1)/2 classes and C(n+1, 3) + n e-nodes, and it
 compactly encodes all Catalan(n-1) tree shapes.  Extraction runs a
-bottom-up dynamic program under the tree cost model; a seeded perturbed
-variant draws diverse low-cost shapes from the same e-graph.
+bottom-up dynamic program over the ranges under the tree cost model; a
+seeded perturbed variant draws diverse low-cost shapes from the same
+e-graph.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .backbone import Backbone, complete, find_candidates, init_serial, regroup
 from .graph import Node
@@ -24,9 +28,7 @@ from .lang import BackboneExpr, Group, Leaf, expr_to_backbone, expr_width
 from .timing import ArrivalProfile, DelayModel
 
 __all__ = [
-    "ENode",
     "EGraph",
-    "SaturationLimits",
     "RegroupTrace",
     "TraceError",
     "saturate",
@@ -40,244 +42,95 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ENode:
-    """Either a leaf (``bit >= 0``) or a group of two e-class ids."""
-
-    bit: int = -1
-    low: int = -1
-    high: int = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.bit >= 0
-
-    @staticmethod
-    def leaf(bit: int) -> ENode:
-        return ENode(bit=bit)
-
-    @staticmethod
-    def group(low: int, high: int) -> ENode:
-        return ENode(low=low, high=high)
-
-
-@dataclass(frozen=True)
-class SaturationLimits:
-    max_iterations: int = 64
-    max_enodes: int = 500_000
-
-
 class EGraph:
-    """Union-find backed e-graph specialized to the backbone language."""
+    """The saturated e-graph of an n-bit backbone.
+
+    A class is a bit range ``(lo, hi)``; its group e-nodes are the split
+    points ``k`` in :meth:`splits`.
+    """
+
+    saturated = True
 
     def __init__(self, width: int) -> None:
         self.width = width
-        self._uf: list[int] = []
-        self.classes: dict[int, set[ENode]] = {}
-        self.hashcons: dict[ENode, int] = {}
-        self.ranges: dict[int, tuple[int, int]] = {}
-        self.root: int = -1
-        self.saturated = False
-
-    # -- union-find --------------------------------------------------------
-
-    def find(self, cid: int) -> int:
-        while self._uf[cid] != cid:
-            self._uf[cid] = self._uf[self._uf[cid]]
-            cid = self._uf[cid]
-        return cid
-
-    def _canon(self, enode: ENode) -> ENode:
-        if enode.is_leaf:
-            return enode
-        return ENode.group(self.find(enode.low), self.find(enode.high))
-
-    def add(self, enode: ENode) -> int:
-        enode = self._canon(enode)
-        existing = self.hashcons.get(enode)
-        if existing is not None:
-            return self.find(existing)
-        cid = len(self._uf)
-        self._uf.append(cid)
-        self.classes[cid] = {enode}
-        self.hashcons[enode] = cid
-        if enode.is_leaf:
-            self.ranges[cid] = (enode.bit, enode.bit)
-        else:
-            lo = self.ranges[self.find(enode.low)][0]
-            hi = self.ranges[self.find(enode.high)][1]
-            self.ranges[cid] = (lo, hi)
-        return cid
-
-    def merge(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.ranges[ra] != self.ranges[rb]:
-            raise AssertionError(
-                "attempted to merge classes with different bit ranges"
-            )
-        if len(self.classes[ra]) < len(self.classes[rb]):
-            ra, rb = rb, ra
-        self._uf[rb] = ra
-        self.classes[ra] |= self.classes.pop(rb)
-        return ra
-
-    def rebuild(self) -> None:
-        """Re-canonicalize every e-node and fold congruent duplicates."""
-        changed = True
-        while changed:
-            changed = False
-            for cid in list(self.classes):
-                if self.find(cid) != cid:
-                    continue
-                for enode in list(self.classes[cid]):
-                    canon = self._canon(enode)
-                    if canon != enode:
-                        self.classes[cid].discard(enode)
-                        self.classes[cid].add(canon)
-                    owner = self.hashcons.get(canon)
-                    if owner is None:
-                        self.hashcons[canon] = cid
-                    elif self.find(owner) != cid:
-                        self.merge(owner, cid)
-                        changed = True
-                        break
-        # drop hashcons entries left stale by merges
-        self.hashcons = {
-            enode: cid for cid, members in self.classes.items() for enode in members
-        }
-
-    # -- views ---------------------------------------------------------------
-
-    @property
-    def n_enodes(self) -> int:
-        return sum(len(v) for v in self.classes.values())
+        self.root = (0, width - 1)
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return self.width * (self.width + 1) // 2
 
-    def class_ids(self) -> list[int]:
-        """Canonical class ids ordered by (span, lsb)."""
-        ids = [cid for cid in self.classes if self.find(cid) == cid]
-        ids.sort(key=lambda c: (self.ranges[c][1] - self.ranges[c][0], self.ranges[c][0]))
-        return ids
+    @property
+    def n_enodes(self) -> int:
+        """One leaf per bit plus one group per split point of every range."""
+        return self.width + math.comb(self.width + 1, 3)
 
-    def enodes(self, cid: int) -> list[ENode]:
-        def key(e: ENode) -> tuple[int, int]:
-            if e.is_leaf:
-                return (-1, -1)
-            return (self.ranges[self.find(e.high)][0], 0)
+    def classes(self) -> Iterator[tuple[int, int]]:
+        """Every range ``(lo, hi)``, ordered by (span, lsb)."""
+        for span in range(self.width):
+            for lo in range(self.width - span):
+                yield lo, lo + span
 
-        return sorted(self.classes[self.find(cid)], key=key)
-
-
-def _insert_expr(eg: EGraph, expr: BackboneExpr) -> int:
-    if isinstance(expr, Leaf):
-        return eg.add(ENode.leaf(expr.bit))
-    low = _insert_expr(eg, expr.low)
-    high = _insert_expr(eg, expr.high)
-    return eg.add(ENode.group(low, high))
+    @staticmethod
+    def splits(lo: int, hi: int) -> range:
+        """Split points of ``[lo, hi]``: the lsb of the high operand."""
+        return range(lo + 1, hi + 1)
 
 
-def saturate(
-    expr: BackboneExpr, limits: SaturationLimits = SaturationLimits()
-) -> EGraph:
-    """Close the e-graph of ``expr`` under associativity.
+def saturate(expr: BackboneExpr) -> EGraph:
+    """The e-graph of ``expr`` closed under associativity.
 
-    Stops early (flagging the result unsaturated) when the iteration or
-    e-node budget is exhausted.
+    Every tree over the same bits has the same closure, so only the width
+    of ``expr`` matters.
     """
-    eg = EGraph(expr_width(expr))
-    eg.root = _insert_expr(eg, expr)
-    for _ in range(limits.max_iterations):
-        before = (eg.n_enodes, eg.n_classes)
-        for cid in eg.class_ids():
-            for enode in eg.enodes(cid):
-                if enode.is_leaf:
-                    continue
-                low, high = eg.find(enode.low), eg.find(enode.high)
-                # (o (o x y) z) => (o x (o y z))
-                for inner in eg.enodes(low):
-                    if inner.is_leaf:
-                        continue
-                    yz = eg.add(ENode.group(inner.high, high))
-                    eg.merge(cid, eg.add(ENode.group(inner.low, yz)))
-                # (o x (o y z)) => (o (o x y) z)
-                for inner in eg.enodes(high):
-                    if inner.is_leaf:
-                        continue
-                    xy = eg.add(ENode.group(low, inner.low))
-                    eg.merge(cid, eg.add(ENode.group(xy, inner.high)))
-                # len(hashcons) tracks live e-nodes between rebuilds
-                if len(eg.hashcons) > limits.max_enodes:
-                    eg.rebuild()
-                    eg.saturated = False
-                    return eg
-        eg.rebuild()
-        if (eg.n_enodes, eg.n_classes) == before:
-            eg.saturated = True
-            break
-    eg.root = eg.find(eg.root)
-    return eg
+    return EGraph(expr_width(expr))
 
 
-def count_trees(eg: EGraph, cid: int | None = None) -> int:
-    """Number of distinct trees extractable from a class (default: root)."""
-    memo: dict[int, int] = {}
-
-    def count(c: int) -> int:
-        c = eg.find(c)
-        if c in memo:
-            return memo[c]
-        total = 0
-        for enode in eg.enodes(c):
-            if enode.is_leaf:
-                total += 1
-            else:
-                total += count(enode.low) * count(enode.high)
-        memo[c] = total
-        return total
-
-    return count(eg.root if cid is None else cid)
+def count_trees(eg: EGraph) -> int:
+    """Number of distinct trees extractable from the root class."""
+    count: dict[tuple[int, int], int] = {}
+    for lo, hi in eg.classes():
+        count[lo, hi] = 1 if lo == hi else sum(
+            count[lo, k - 1] * count[k, hi] for k in eg.splits(lo, hi)
+        )
+    return count[eg.root]
 
 
 def _extract(
     eg: EGraph,
     profile: ArrivalProfile,
     model: DelayModel,
-    noise: dict[tuple[int, ENode], float] | None,
+    noise: Iterator[float] | None,
 ) -> BackboneExpr:
-    if not eg.saturated:
-        warnings.warn("extracting from an unsaturated e-graph", RuntimeWarning)
-    best_cost: dict[int, float] = {}
-    best_node: dict[int, ENode] = {}
-    for cid in eg.class_ids():
-        chosen: tuple[float, float, int] | None = None
-        for enode in eg.enodes(cid):
-            if enode.is_leaf:
-                cost = profile[enode.bit]
-                key = (cost, math.inf, -1)
-            else:
-                low, high = eg.find(enode.low), eg.find(enode.high)
-                cost = max(best_cost[low], best_cost[high]) + model.step
-                key = (cost, best_cost[high], eg.ranges[high][0])
+    """Min-cost DP over the ranges.  ``noise`` supplies one value per
+    e-node, in class order and then split order, added to that e-node's
+    cost.  Ties prefer the cheaper high operand, then the smaller split."""
+    step = model.step
+    best_cost: dict[tuple[int, int], float] = {}
+    best_split: dict[tuple[int, int], int] = {}
+    for lo, hi in eg.classes():
+        if lo == hi:
+            cost = profile[lo]
             if noise is not None:
-                cost += noise[(cid, enode)]
-                key = (cost, key[1], key[2])
-            if chosen is None or key < chosen:
-                chosen = key
-                best_cost[cid] = cost
-                best_node[cid] = enode
+                cost += next(noise)
+            best_cost[lo, hi] = cost
+            continue
+        chosen: tuple[float, float, int] | None = None
+        for k in eg.splits(lo, hi):
+            high = best_cost[k, hi]
+            cost = max(best_cost[lo, k - 1], high) + step
+            if noise is not None:
+                cost += next(noise)
+            if chosen is None or (cost, high, k) < chosen:
+                chosen = (cost, high, k)
+        best_cost[lo, hi], _, best_split[lo, hi] = chosen
 
-    def build(cid: int) -> BackboneExpr:
-        enode = best_node[eg.find(cid)]
-        if enode.is_leaf:
-            return Leaf(enode.bit)
-        return Group(low=build(enode.low), high=build(enode.high))
+    def build(lo: int, hi: int) -> BackboneExpr:
+        if lo == hi:
+            return Leaf(lo)
+        k = best_split[lo, hi]
+        return Group(low=build(lo, k - 1), high=build(k, hi))
 
-    return build(eg.root)
+    return build(*eg.root)
 
 
 def extract_optimal(
@@ -305,10 +158,8 @@ def extract_perturbed(
     if eps_scale < 0:
         raise ValueError("eps_scale must be >= 0")
     rng = Random(seed)
-    noise: dict[tuple[int, ENode], float] = {}
-    for cid in eg.class_ids():
-        for enode in eg.enodes(cid):
-            noise[(cid, enode)] = rng.uniform(0.0, eps_scale * model.step)
+    bound = eps_scale * model.step
+    noise = (rng.uniform(0.0, bound) for _ in range(eg.n_enodes))
     return _extract(eg, profile, model, noise)
 
 

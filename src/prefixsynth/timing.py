@@ -46,24 +46,6 @@ class DelayModel:
         """Cost of one logic level."""
         return self.node_delay + self.margin
 
-    @property
-    def slope(self) -> float:
-        """Slope of the linear path-delay model; equals :attr:`step`."""
-        return self.step
-
-    @classmethod
-    def from_slope(
-        cls,
-        slope: float,
-        margin: float = 0.005,
-        fanout_penalty: float = 0.005,
-        intercept: float = 0.0,
-    ) -> DelayModel:
-        """Build a model whose per-level step equals ``slope``."""
-        if slope < margin:
-            raise ValueError("slope must be at least the margin")
-        return cls(slope - margin, margin, fanout_penalty, intercept)
-
 
 @dataclass(frozen=True)
 class ArrivalProfile:

@@ -84,6 +84,64 @@ def expr_to_shape(expr: BackboneExpr) -> tuple | int:
     return (expr_to_shape(expr.high), expr_to_shape(expr.low))
 
 
+def shape_range(shape: tuple | int) -> tuple[int, int]:
+    """(lsb, msb) of the bits a shape covers."""
+    if isinstance(shape, int):
+        return (shape, shape)
+    return (shape_range(shape[1])[0], shape_range(shape[0])[1])
+
+
+# ---------------------------------------------------------------------------
+# Generic saturation under associativity
+# ---------------------------------------------------------------------------
+
+
+def _rewrites(shape: tuple | int) -> Iterator[tuple | int]:
+    """Every tree one associativity rewrite away from ``shape``."""
+    if isinstance(shape, int):
+        return
+    high, low = shape
+    if not isinstance(low, int):  # (o (o x y) z) => (o x (o y z))
+        yield ((high, low[0]), low[1])
+    if not isinstance(high, int):  # (o x (o y z)) => (o (o x y) z)
+        yield (high[0], (high[1], low))
+    for h in _rewrites(high):
+        yield (h, low)
+    for lo in _rewrites(low):
+        yield (high, lo)
+
+
+def saturate_ref(width: int) -> tuple[set, set[tuple[int, int, int]]]:
+    """Close the serial tree over ``width`` bits under both associativity
+    rewrites by brute force.
+
+    Returns every reachable tree and the ``(lo, hi, split)`` group e-nodes
+    of all their subtrees, ``split`` being the lsb of the high operand.
+    """
+    serial: tuple | int = 0
+    for bit in range(1, width):
+        serial = (bit, serial)
+    trees = {serial}
+    frontier = [serial]
+    while frontier:
+        frontier = {t for tree in frontier for t in _rewrites(tree)} - trees
+        trees |= frontier
+
+    enodes: set[tuple[int, int, int]] = set()
+
+    def collect(shape: tuple | int) -> None:
+        if isinstance(shape, int):
+            return
+        lo, hi = shape_range(shape)
+        enodes.add((lo, hi, shape_range(shape[0])[0]))
+        collect(shape[0])
+        collect(shape[1])
+
+    for tree in trees:
+        collect(tree)
+    return trees, enodes
+
+
 # ---------------------------------------------------------------------------
 # Bit-parallel addition oracle
 # ---------------------------------------------------------------------------

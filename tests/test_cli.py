@@ -194,3 +194,25 @@ def test_console_entry_point_runs() -> None:
     assert proc.returncode == 0
     for sub in ("synthesize", "datagen", "eval", "export", "verify"):
         assert sub in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["export", "verify"])
+def test_bad_epr_is_line_numbered_error(command: str, tmp_path: Path, capsys) -> None:
+    bad = tmp_path / "bad.epr"
+    bad.write_text("not an epr file\n")
+    argv = ["export", "--input", str(bad), "--out", str(tmp_path)]
+    rc = run_cli(*argv) if command == "export" else run_cli("verify", str(bad))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"{command}: line 1: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["synthesize", "datagen", "eval"])
+def test_bad_target_is_config_error(
+    command: str, value: str, tmp_path: Path, capsys
+) -> None:
+    target = f"0.2,{value}" if command == "eval" else value
+    rc = run_cli(command, "--bits", "4", f"--target={target}", "--out", str(tmp_path))
+    assert rc == 1
+    assert "--target must be a finite delay >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

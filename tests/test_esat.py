@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from prefixsynth.backbone import balanced_backbone, complete, init_serial
 from prefixsynth.esat import (
-    EGraph,
-    ENode,
     RegroupTrace,
-    SaturationLimits,
     TraceError,
     catalan,
     count_trees,
@@ -23,31 +20,32 @@ from prefixsynth.esat import (
     saturate,
 )
 from prefixsynth.graph import Node
-from prefixsynth.lang import backbone_to_expr, expr_to_backbone
+from prefixsynth.lang import backbone_to_expr, expr_to_backbone, text_to_expr
 from prefixsynth.timing import ArrivalProfile, DelayModel, backbone_cost
 
-from oracles import all_shapes, catalan_ref, random_shape, shape_cost, shape_to_expr
+from oracles import (
+    all_shapes,
+    catalan_ref,
+    random_shape,
+    saturate_ref,
+    shape_cost,
+    shape_to_expr,
+)
 
 
-def test_egraph_hashconsing_deduplicates() -> None:
-    eg = EGraph(3)
-    a = eg.add(ENode.leaf(0))
-    b = eg.add(ENode.leaf(0))
-    assert eg.find(a) == eg.find(b)
-    g1 = eg.add(ENode.group(eg.add(ENode.leaf(1)), a))
-    g2 = eg.add(ENode.group(eg.add(ENode.leaf(1)), b))
-    assert eg.find(g1) == eg.find(g2)
-
-
-def test_egraph_merge_and_congruence() -> None:
-    eg = EGraph(4)
-    l0, l1, l2 = (eg.add(ENode.leaf(i)) for i in range(3))
-    low_a = eg.add(ENode.group(l0, l1))
-    # two syntactically different parents over the same range
-    p1 = eg.add(ENode.group(low_a, l2))
-    p2 = eg.add(ENode.group(low_a, l2))
-    assert eg.find(p1) == eg.find(p2)
-    assert eg.n_enodes == len(eg.hashcons)
+@pytest.mark.parametrize("width", range(2, 9))
+def test_closed_form_matches_generic_saturation(width: int) -> None:
+    trees, enodes = saturate_ref(width)
+    eg = saturate(backbone_to_expr(init_serial(width)))
+    classes = list(eg.classes())
+    assert classes == sorted(classes, key=lambda c: (c[1] - c[0], c[0]))
+    assert set(classes) == {(lo, hi) for lo, hi, _ in enodes} | {
+        (b, b) for b in range(width)
+    }
+    assert {(lo, hi, k) for lo, hi in classes for k in eg.splits(lo, hi)} == enodes
+    assert eg.n_classes == len(classes)
+    assert eg.n_enodes == len(enodes) + width
+    assert count_trees(eg) == len(trees)
 
 
 @pytest.mark.parametrize(
@@ -63,20 +61,6 @@ def test_saturation_start_point_irrelevant() -> None:
     from_serial = saturate(backbone_to_expr(init_serial(6)))
     from_balanced = saturate(backbone_to_expr(balanced_backbone(6)))
     assert count_trees(from_serial) == count_trees(from_balanced)
-
-
-def test_saturation_budget_flags_incomplete_closure() -> None:
-    limits = SaturationLimits(max_enodes=10)
-    eg = saturate(backbone_to_expr(init_serial(6)), limits)
-    assert not eg.saturated
-    with pytest.warns(RuntimeWarning):
-        extract_optimal(eg, ArrivalProfile.uniform(6), DelayModel())
-
-
-def test_saturation_iteration_budget() -> None:
-    limits = SaturationLimits(max_iterations=1)
-    eg = saturate(backbone_to_expr(init_serial(8)), limits)
-    assert not eg.saturated
 
 
 @given(st.integers(2, 8), st.integers(0, 10_000))
@@ -100,6 +84,21 @@ def test_extraction_deterministic() -> None:
     assert extract_optimal(eg, profile, model) == extract_optimal(
         eg, profile, model
     )
+
+
+@pytest.mark.parametrize(
+    "width,text",
+    [
+        # every split of [0, 4] costs 3 steps; split 4 has the cheapest high operand
+        (5, "(o (o (o i0 i1) (o i2 i3)) i4)"),
+        # splits 3 and 4 of [0, 6] tie on cost and high-operand cost; 3 is smaller
+        (7, "(o (o (o i0 i1) i2) (o (o i3 i4) (o i5 i6)))"),
+    ],
+)
+def test_extraction_tie_break_uniform(width: int, text: str) -> None:
+    eg = saturate(backbone_to_expr(init_serial(width)))
+    got = extract_optimal(eg, ArrivalProfile.uniform(width), DelayModel())
+    assert got == text_to_expr(text)
 
 
 def test_perturbed_extraction_zero_eps_is_optimal() -> None:

@@ -26,7 +26,6 @@ from prefixsynth.lang import expr_to_backbone
 def test_delay_model_defaults() -> None:
     m = DelayModel()
     assert m.step == pytest.approx(0.035)
-    assert DelayModel.from_slope(0.05).step == pytest.approx(0.05)
     with pytest.raises(ValueError):
         DelayModel(node_delay=-1.0)
 
