@@ -3,38 +3,129 @@
 ``goldens.json`` maps a job name to the sha256 and size of the artifact it
 writes.  A changed digest means the program's output changed; a change that
 fixes a defect updates the digest and names it in CHANGES.md.
+
+Run ``python tests/test_goldens.py`` to print the digests of the current
+program as JSON, for comparing against (or replacing) ``goldens.json``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from prefixsynth.cli import main
 
-GOLDENS = json.loads((Path(__file__).parent / "goldens.json").read_text())
+GOLDENS_PATH = Path(__file__).parent / "goldens.json"
+GOLDENS = json.loads(GOLDENS_PATH.read_text())
 
-DATAGEN_JOBS = [
-    (bits, profile) for bits in (16, 32) for profile in ("uniform", "lsb-first", "random")
+PROFILES = ("uniform", "lsb-first", "random")
+
+DATAGEN_JOBS = [(bits, profile) for bits in (16, 32) for profile in PROFILES]
+
+# 0.9x, 1.0x and 1.3x the Sklansky delay of each (width, profile) at seed 1.
+TARGETS = {
+    (16, "uniform"): ("0.1755", "0.1950", "0.2535"),
+    (16, "lsb-first"): ("0.2835", "0.3150", "0.4095"),
+    (16, "random"): ("0.2289", "0.2543", "0.3306"),
+    (32, "uniform"): ("0.2745", "0.3050", "0.3965"),
+    (32, "lsb-first"): ("0.3510", "0.3900", "0.5070"),
+    (32, "random"): ("0.3813", "0.4236", "0.5507"),
+    (64, "uniform"): ("0.4455", "0.4950", "0.6435"),
+    (64, "lsb-first"): ("0.4545", "0.5050", "0.6565"),
+    (64, "random"): ("0.6591", "0.7323", "0.9520"),
+}
+
+SYNTH_ARTIFACTS = ("trace.txt", "design.epr", "design.v", "report.csv")
+
+SYNTH_JOBS = [
+    (bits, profile, target)
+    for bits in (16, 32, 64)
+    for profile in PROFILES
+    for target in (None, TARGETS[bits, profile][2])
 ]
+
+EVAL_JOBS = [(bits, profile) for bits in (16, 32) for profile in PROFILES]
+
+
+def _digest(path: Path) -> dict:
+    data = path.read_bytes()
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+def _run(argv: list[str], out: Path) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + ["--seed", "1", "--out", str(out)])
+    assert rc == 0
+
+
+def _datagen(bits: int, profile: str, out: Path) -> dict[str, dict]:
+    _run([
+        "datagen", "--bits", str(bits), "--profile", profile,
+        "--samples", "8", "--eps-scale", "1", "--threshold", "6",
+    ], out)
+    return {f"datagen-{bits}-{profile}": _digest(out / "samples.jsonl")}
+
+
+def _synthesize(bits: int, profile: str, target: str | None, out: Path) -> dict[str, dict]:
+    argv = ["synthesize", "--bits", str(bits), "--profile", profile]
+    if target is not None:
+        argv += ["--target", target]
+    _run(argv, out)
+    name = f"synthesize-{bits}-{profile}-{'target' if target else 'free'}"
+    return {f"{name}/{a}": _digest(out / a) for a in SYNTH_ARTIFACTS}
+
+
+def _eval(bits: int, profile: str, out: Path) -> dict[str, dict]:
+    targets = ",".join(TARGETS[bits, profile])
+    _run(["eval", "--bits", str(bits), "--profile", profile, "--target", targets], out)
+    return {f"eval-{bits}-{profile}/report.csv": _digest(out / "report.csv")}
 
 
 @pytest.mark.parametrize("bits,profile", DATAGEN_JOBS)
-def test_datagen_samples_digest(bits: int, profile: str, tmp_path: Path, capsys) -> None:
-    rc = main([
-        "datagen",
-        "--bits", str(bits),
-        "--profile", profile,
-        "--seed", "1",
-        "--samples", "8",
-        "--eps-scale", "1",
-        "--threshold", "6",
-        "--out", str(tmp_path),
-    ])
-    assert rc == 0
-    data = (tmp_path / "samples.jsonl").read_bytes()
-    got = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-    assert got == GOLDENS[f"datagen-{bits}-{profile}"]
+def test_datagen_samples_digest(bits: int, profile: str, tmp_path: Path) -> None:
+    got = _datagen(bits, profile, tmp_path)
+    assert got == {k: GOLDENS[k] for k in got}
+
+
+@pytest.mark.parametrize("bits,profile,target", SYNTH_JOBS)
+def test_synthesize_artifact_digests(
+    bits: int, profile: str, target: str | None, tmp_path: Path
+) -> None:
+    got = _synthesize(bits, profile, target, tmp_path)
+    assert got == {k: GOLDENS[k] for k in got}
+
+
+@pytest.mark.parametrize("bits,profile", EVAL_JOBS)
+def test_eval_report_digest(bits: int, profile: str, tmp_path: Path) -> None:
+    got = _eval(bits, profile, tmp_path)
+    assert got == {k: GOLDENS[k] for k in got}
+
+
+def current_digests() -> dict[str, dict]:
+    """Digests of every job in the matrix, as the program writes them now."""
+    out: dict[str, dict] = {}
+    jobs = (
+        [(_datagen, job) for job in DATAGEN_JOBS]
+        + [(_synthesize, job) for job in SYNTH_JOBS]
+        + [(_eval, job) for job in EVAL_JOBS]
+    )
+    for run, job in jobs:
+        with tempfile.TemporaryDirectory() as tmp:
+            out.update(run(*job, Path(tmp)))
+    return out
+
+
+if __name__ == "__main__":
+    current = current_digests()
+    for key in sorted(current.keys() | GOLDENS.keys()):
+        if current.get(key) != GOLDENS.get(key):
+            print(f"changed: {key}", file=sys.stderr)
+    json.dump(current, sys.stdout, indent=2)
+    sys.stdout.write("\n")
