@@ -249,12 +249,15 @@ def complete(bb: Backbone) -> PrefixGraph:
     return PrefixGraph(bb.width, parents)
 
 
-def _sexpr_arrivals(
+def arrival_table(
     bb: Backbone, profile: ArrivalProfile, model: DelayModel
 ) -> dict[Node, float]:
+    """Arrival of every leaf and internal node: leaves arrive at their input
+    time, every group at ``max(up, lp) + step``, smallest spans first."""
+    parents = bb.parent_map
     arrivals: dict[Node, float] = {Node(i, i): profile[i] for i in range(bb.width)}
     for node in bb.walk():
-        up, lp = bb.parent_map[node]
+        up, lp = parents[node]
         arrivals[node] = max(arrivals[up], arrivals[lp]) + model.step
     return arrivals
 
@@ -268,7 +271,7 @@ def to_timed_sexpr(
     operand closes on its own line; trailing groups collapse their closing
     parentheses onto the final leaf.
     """
-    arrivals = _sexpr_arrivals(bb, profile, model)
+    arrivals = arrival_table(bb, profile, model)
     parents = bb.parent_map
     lines: list[str] = []
 

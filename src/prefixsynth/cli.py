@@ -310,16 +310,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out = cfg.out or "."
 
     def synthesize_at(target: float) -> PrefixGraph:
+        phase1_policy, phase2_policy = _resolve_policies(cfg)
         p1 = run_phase1(
-            cfg.width, cfg.profile, target, cfg.max_iters, GreedyBackbonePolicy(), cfg.model
+            cfg.width, cfg.profile, target, cfg.max_iters, phase1_policy, cfg.model
         )
         graph = complete(p1.backbone)
         p2 = run_phase2(
-            graph, target, cfg.max_iters, CriticalPathRefinePolicy(), cfg.profile, cfg.model
+            graph, target, cfg.max_iters, phase2_policy, cfg.profile, cfg.model
         )
         return p2.graph
 
-    rows = pareto_sweep(synthesize_at, targets, cfg.profile, cfg.model)
+    try:
+        rows = pareto_sweep(synthesize_at, targets, cfg.profile, cfg.model)
+    except PolicyAbort as exc:
+        print(f"eval: aborted: {exc}", file=sys.stderr)
+        return 2
     csv_text = emit_report(rows)
     path = _write(out, "report.csv", csv_text)
     sys.stdout.write(csv_text)

@@ -185,7 +185,6 @@ def _phase1_state(
         profile=profile,
         model=model,
         target=target,
-        state_text=to_timed_sexpr(bb, profile, model),
         candidates=tuple(find_candidates(bb)),
         backbone=bb,
     )

@@ -18,11 +18,10 @@ Duplicated (cloned) nodes share coordinates and are told apart by an
 """
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
 
 __all__ = [
     "Node",
@@ -332,13 +331,43 @@ def deficiency(graph: PrefixGraph) -> int:
 # -- batched functional checking -------------------------------------------
 #
 # Many vectors are evaluated at once by packing one bit per test vector into
-# arbitrary-precision integers, so the whole batch moves through the graph
-# with a handful of bitwise operations per node.
+# arbitrary-precision integers ("columns": column ``i`` holds bit ``i`` of the
+# operand in every lane), so the whole batch moves through the graph with a
+# handful of bitwise operations per node, at any width.
 
 
-def _pack_bits(values: np.ndarray, bit: int) -> int:
-    col = ((values >> np.uint64(bit)) & np.uint64(1)).astype(np.uint8)
-    return int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
+def _column_mismatches(
+    graph: PrefixGraph, acols: list[int], bcols: list[int], limit: int
+) -> list[tuple[int, int]]:
+    """The ``(a, b)`` operands of the lowest ``limit`` lanes where the graph
+    disagrees with a lane-parallel ripple-carry adder.
+
+    The sum bits and the carry out agree with integer addition exactly when
+    every carry ``G[i:0]`` equals the ripple carry out of bit ``i``.
+    """
+    _require_complete(graph)
+    gen = [a & b for a, b in zip(acols, bcols)]
+    prop = [a ^ b for a, b in zip(acols, bcols)]
+    values = _group_values(graph, gen, prop)
+    lanes = 0
+    carry = 0
+    for i in range(graph.width):
+        carry = gen[i] | (prop[i] & carry)
+        lanes |= carry ^ values[Node(i, 0)][0]
+    pairs: list[tuple[int, int]] = []
+    while lanes and len(pairs) < limit:
+        lane = (lanes & -lanes).bit_length() - 1
+        a = sum(((col >> lane) & 1) << i for i, col in enumerate(acols))
+        b = sum(((col >> lane) & 1) << i for i, col in enumerate(bcols))
+        pairs.append((a, b))
+        lanes &= lanes - 1
+    return pairs
+
+
+def _to_columns(values: list[int], width: int) -> list[int]:
+    """Transpose operands into columns; lane ``k`` holds ``values[k]``."""
+    rows = [format(v, f"0{width}b") for v in reversed(values)]
+    return [int("".join(bits), 2) for bits in reversed(list(zip(*rows)))]
 
 
 def addition_mismatches(
@@ -348,65 +377,56 @@ def addition_mismatches(
 ) -> list[tuple[int, int]]:
     """Compare the graph against integer addition on the given operand pairs.
 
-    Returns up to ``limit`` failing ``(a, b)`` pairs; empty means agreement.
+    Returns up to ``limit`` failing ``(a, b)`` pairs, in input order; empty
+    means agreement.
     """
     _require_complete(graph)
     n = graph.width
     pair_list = list(pairs)
     if not pair_list:
         return []
-    a_arr = np.array([p[0] for p in pair_list], dtype=np.uint64)
-    b_arr = np.array([p[1] for p in pair_list], dtype=np.uint64)
-    count = len(pair_list)
+    if any(not (0 <= x < (1 << n)) for pair in pair_list for x in pair):
+        raise ValueError(f"operands must fit in {n} bits")
+    acols = _to_columns([a for a, _ in pair_list], n)
+    bcols = _to_columns([b for _, b in pair_list], n)
+    return _column_mismatches(graph, acols, bcols, limit)
 
-    gen = [_pack_bits(a_arr & b_arr, i) for i in range(n)]
-    prop = [_pack_bits(a_arr ^ b_arr, i) for i in range(n)]
-    values = _group_values(graph, gen, prop)
-    carries = [values[Node(i, 0)][0] for i in range(n)]
 
-    mask_n = np.uint64(2**n - 1) if n < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-    total = (a_arr + b_arr) & mask_n if n < 64 else a_arr + b_arr
-    carry_ref = _pack_bits(
-        ((a_arr.astype(object) + b_arr.astype(object)) >> n).astype(np.uint64), 0
-    )
-
-    diff = carries[n - 1] ^ carry_ref
-    got_bits = [prop[0]] + [prop[i] ^ carries[i - 1] for i in range(1, n)]
-    for i in range(n):
-        diff |= got_bits[i] ^ _pack_bits(total, i)
-
-    bad: list[tuple[int, int]] = []
-    full = (1 << count) - 1
-    diff &= full
-    while diff and len(bad) < limit:
-        idx = (diff & -diff).bit_length() - 1
-        bad.append((int(a_arr[idx]), int(b_arr[idx])))
-        diff &= diff - 1
-    return bad
+def _block_column(bit: int, lanes: int) -> int:
+    """Bit ``bit`` of the lane index, over ``lanes`` lanes (a power of two):
+    a block of ``2**bit`` zeros then ``2**bit`` ones, doubled to length."""
+    half = 1 << bit
+    col = ((1 << half) - 1) << half
+    length = 2 * half
+    while length < lanes:
+        col |= col << length
+        length *= 2
+    return col
 
 
 def exhaustive_addition_check(graph: PrefixGraph) -> list[tuple[int, int]]:
-    """All ``2^(2n)`` operand pairs; intended for widths up to about 10."""
+    """All ``2^(2n)`` operand pairs; intended for widths up to about 10.
+
+    Lane ``a * 2**n + b`` carries the pair ``(a, b)``.
+    """
     n = graph.width
     if n > 12:
         raise ValueError("exhaustive check is impractical beyond width 12")
-    v = np.arange(1 << (2 * n), dtype=np.uint64)
-    a = v >> np.uint64(n)
-    b = v & np.uint64((1 << n) - 1)
-    return addition_mismatches(graph, zip(a.tolist(), b.tolist()))
+    lanes = 1 << (2 * n)
+    bcols = [_block_column(i, lanes) for i in range(n)]
+    acols = [_block_column(n + i, lanes) for i in range(n)]
+    return _column_mismatches(graph, acols, bcols, 10)
 
 
 def random_addition_check(
     graph: PrefixGraph, count: int = 100_000, seed: int = 0
 ) -> list[tuple[int, int]]:
-    """Seeded random operand pairs for widths where exhaustion is infeasible."""
-    n = graph.width
-    rng = np.random.default_rng(seed)
-    if n >= 64:
-        high = np.uint64(0xFFFFFFFFFFFFFFFF)
-        a = rng.integers(0, high, size=count, dtype=np.uint64, endpoint=True)
-        b = rng.integers(0, high, size=count, dtype=np.uint64, endpoint=True)
-    else:
-        a = rng.integers(0, 1 << n, size=count, dtype=np.uint64)
-        b = rng.integers(0, 1 << n, size=count, dtype=np.uint64)
-    return addition_mismatches(graph, zip(a.tolist(), b.tolist()))
+    """Seeded random operand pairs for widths where exhaustion is infeasible.
+
+    Each operand column is ``count`` random bits, ``a``'s columns drawn
+    before ``b``'s.
+    """
+    rng = random.Random(seed)
+    acols = [rng.getrandbits(count) for _ in range(graph.width)]
+    bcols = [rng.getrandbits(count) for _ in range(graph.width)]
+    return _column_mismatches(graph, acols, bcols, 10)

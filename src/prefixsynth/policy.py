@@ -14,11 +14,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Protocol, Sequence, Union
 
 from .backbone import (
     Backbone,
     RegroupError,
+    arrival_table,
     find_candidates,
     init_serial,
     regroup,
@@ -34,7 +36,7 @@ from .refine import (
     fanout_opt,
     level_opt,
 )
-from .timing import ArrivalProfile, DelayModel, TimingReport, backbone_cost, graph_arrivals
+from .timing import ArrivalProfile, DelayModel, TimingReport, graph_arrivals
 
 __all__ = [
     "Regroup",
@@ -228,8 +230,10 @@ def tool_schemas(phase: int) -> list[dict]:
 class DecisionContext:
     """Everything a policy may look at when deciding the next call.
 
-    The serialized ``state_text`` is what a language model sees; the
-    structured fields back the deterministic policies.
+    The structured fields back the deterministic policies.  ``state_text``
+    is what a language model sees: the timing-annotated s-expression of the
+    backbone in phase 1, the EPR of the graph in phase 2.  It is rendered on
+    first access, so a policy that never reads it never pays for it.
     """
 
     phase: int
@@ -239,13 +243,20 @@ class DecisionContext:
     profile: ArrivalProfile
     model: DelayModel
     target: float | None
-    state_text: str
     candidates: tuple[tuple[Node, Node], ...] = ()
     backbone: Backbone | None = None
     graph: PrefixGraph | None = None
     report: TimingReport | None = None
     critical: CriticalPath | None = None
     feedback: str | None = None
+
+    @cached_property
+    def state_text(self) -> str:
+        if self.phase == 1:
+            assert self.backbone is not None
+            return to_timed_sexpr(self.backbone, self.profile, self.model)
+        assert self.graph is not None
+        return render_epr(self.graph)
 
 
 class Policy(Protocol):
@@ -391,7 +402,6 @@ def run_phase1(
             profile=profile,
             model=model,
             target=target,
-            state_text=to_timed_sexpr(bb, profile, model),
             candidates=candidates,
             backbone=bb,
             feedback=feedback,
@@ -483,7 +493,6 @@ def run_phase2(
             profile=profile,
             model=model,
             target=target,
-            state_text=render_epr(graph),
             graph=graph,
             report=report,
             critical=critical,
@@ -527,21 +536,54 @@ def run_phase2(
 
 class GreedyBackbonePolicy:
     """Phase-one stand-in: take the candidate that minimizes the annotated
-    root cost; finish when at target or no candidate strictly improves."""
+    root cost; finish when at target or no candidate strictly improves.
+
+    A regroup at ridge node ``(i, 0)`` changes only the arrival of the node
+    it creates, of ``(i, 0)`` and of the ridge nodes above, so each candidate
+    is scored from one :func:`~prefixsynth.backbone.arrival_table` of the
+    current backbone, with the same ``max(up, lp) + step`` float operations
+    that :func:`~prefixsynth.timing.backbone_cost` applies to the regrouped
+    tree.
+    """
 
     def decide(self, ctx: DecisionContext) -> ToolCall:
         bb = ctx.backbone
         if bb is None:
             raise PolicyError("greedy backbone policy needs structured state")
-        current = backbone_cost(bb, ctx.profile, ctx.model)
+        step = ctx.model.step
+        parents = bb.parent_map
+        cost = arrival_table(bb, ctx.profile, ctx.model)
+        current = cost[bb.root]
         if ctx.target is not None and current <= ctx.target:
             return Finish1()
+        # Arrivals down the ridge, root first and ending at the leaf (0, 0),
+        # and of each ridge node's upper parent.
+        position: dict[int, int] = {}
+        ridge_cost: list[float] = []
+        up_cost: list[float] = []
+        node = bb.root
+        while node.span > 1:
+            position[node.msb] = len(ridge_cost)
+            ridge_cost.append(cost[node])
+            up, node = parents[node]
+            up_cost.append(cost[up])
+        ridge_cost.append(cost[node])
         best: tuple[float, int] | None = None
         best_call: ToolCall = Finish1()
         for i, (a, b) in enumerate(ctx.candidates):
-            cost = backbone_cost(regroup(bb, a, b), ctx.profile, ctx.model)
-            if best is None or (cost, i) < best:
-                best = (cost, i)
+            # The site (a.msb, 0) is ridge node j and a its upper parent; b
+            # is the upper parent of ridge node j + 1, which the regroup
+            # removes.  The created (a.msb, b.lsb) reads a and b, and the
+            # site reads it and ridge node j + 2.
+            j = position[a.msb]
+            created = max(up_cost[j], up_cost[j + 1]) + step
+            x = max(created, ridge_cost[j + 2]) + step
+            while j > 0 and x != ridge_cost[j]:
+                j -= 1
+                x = max(up_cost[j], x) + step
+            score = x if j == 0 else current
+            if best is None or (score, i) < best:
+                best = (score, i)
                 best_call = Regroup(a, b)
         if best is None or best[0] >= current:
             return Finish1()

@@ -34,20 +34,32 @@ class RefinementError(Exception):
     """The requested rewrite does not apply at this site."""
 
 
+_Plan = tuple[Node, dict[Node, tuple[Node, Node]], int]
+
+
 def _balanced_plan(
-    graph: PrefixGraph, msb: int, lsb: int
-) -> tuple[Node, dict[Node, tuple[Node, Node]], int]:
+    graph: PrefixGraph, msb: int, lsb: int, memo: dict[tuple[int, int], _Plan]
+) -> _Plan:
     """Reuse the ``(msb, lsb)`` node if present, else plan a balanced
     construction of it.  Returns the node, the parent entries to insert,
-    and the node's level in the edited graph."""
+    and the node's level in the edited graph.
+
+    ``memo`` caches plans by bit range for one graph; the returned insert
+    maps are shared and must not be mutated.
+    """
+    plan = memo.get((msb, lsb))
+    if plan is not None:
+        return plan
     node = Node(msb, lsb)
     if node in graph.nodes:
-        return node, {}, graph.level(node)
-    mid = (msb + lsb + 1) // 2
-    up, up_ins, up_lvl = _balanced_plan(graph, msb, mid)
-    lp, lp_ins, lp_lvl = _balanced_plan(graph, mid - 1, lsb)
-    inserts = {**up_ins, **lp_ins, node: (up, lp)}
-    return node, inserts, max(up_lvl, lp_lvl) + 1
+        plan = node, {}, graph.level(node)
+    else:
+        mid = (msb + lsb + 1) // 2
+        up, up_ins, up_lvl = _balanced_plan(graph, msb, mid, memo)
+        lp, lp_ins, lp_lvl = _balanced_plan(graph, mid - 1, lsb, memo)
+        plan = node, {**up_ins, **lp_ins, node: (up, lp)}, max(up_lvl, lp_lvl) + 1
+    memo[msb, lsb] = plan
+    return plan
 
 
 def level_opt(graph: PrefixGraph, target: Node) -> PrefixGraph:
@@ -63,9 +75,10 @@ def level_opt(graph: PrefixGraph, target: Node) -> PrefixGraph:
     current = graph.level(target)
     best: tuple[int, int] | None = None
     best_plan: tuple[Node, Node, dict[Node, tuple[Node, Node]]] | None = None
+    memo: dict[tuple[int, int], _Plan] = {}
     for k in range(target.lsb + 1, target.msb + 1):
-        up, up_ins, up_lvl = _balanced_plan(graph, target.msb, k)
-        lp, lp_ins, lp_lvl = _balanced_plan(graph, k - 1, target.lsb)
+        up, up_ins, up_lvl = _balanced_plan(graph, target.msb, k, memo)
+        lp, lp_ins, lp_lvl = _balanced_plan(graph, k - 1, target.lsb, memo)
         key = (max(up_lvl, lp_lvl) + 1, -k)
         if best is None or key < best:
             best = key

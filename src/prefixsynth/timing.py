@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
-from .backbone import Backbone
+from .backbone import Backbone, arrival_table
 from .graph import Node, PrefixGraph, deficiency
 from .lang import BackboneExpr, Group, Leaf
 
@@ -123,14 +123,7 @@ def backbone_cost(
     """Arrival at the tree root: leaves cost their input arrival, every
     group adds one step."""
     if isinstance(tree, Backbone):
-        parents = tree.parent_map
-        cost: dict[Node, float] = {
-            Node(i, i): profile[i] for i in range(tree.width)
-        }
-        for node in tree.walk():
-            up, lp = parents[node]
-            cost[node] = max(cost[up], cost[lp]) + model.step
-        return cost[tree.root]
+        return arrival_table(tree, profile, model)[tree.root]
     if isinstance(tree, Leaf):
         return profile[tree.bit]
     if isinstance(tree, Group):

@@ -37,6 +37,12 @@ def test_synthesize_writes_artifacts(tmp_path: Path, capsys) -> None:
     assert "width=8" in out
 
 
+@pytest.mark.parametrize("bits", [65, 128, 256])
+def test_synthesize_wide_adders_pass_the_addition_check(bits: int, tmp_path: Path) -> None:
+    assert run_cli("synthesize", "--bits", str(bits), "--seed", "1", "--out", str(tmp_path)) == 0
+    assert run_cli("verify", str(tmp_path / "design.epr"), "--seed", "2") == 0
+
+
 def test_synthesize_rejects_bad_profile(tmp_path: Path, capsys) -> None:
     rc = run_cli(
         "synthesize", "--bits", "8", "--profile", "bogus", "--out", str(tmp_path)
@@ -118,6 +124,48 @@ def test_eval_requires_targets(tmp_path: Path, capsys) -> None:
     rc = run_cli("eval", "--bits", "8", "--out", str(tmp_path))
     assert rc == 1
     assert "target" in capsys.readouterr().err.lower()
+
+
+def test_eval_rejects_missing_script(tmp_path: Path, capsys) -> None:
+    rc = run_cli(
+        "eval", "--bits", "8", "--target", "0.2",
+        "--policy", f"scripted:{tmp_path / 'missing.txt'}",
+        "--out", str(tmp_path),
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eval: cannot read script")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_scripted_reproduces_synthesize_row(tmp_path: Path) -> None:
+    script = tmp_path / "steps.txt"
+    script.write_text(
+        "regroup 3 3 2 2\n"
+        "regroup 7 7 6 6\n"
+        "finish1\n"
+        "level_opt (7,0)\n"
+        "finish2\n"
+    )
+    policy = f"scripted:{script}"
+    argv = ["--bits", "8", "--target", "0.2", "--policy", policy]
+    assert run_cli("synthesize", *argv, "--out", str(tmp_path / "s")) == 0
+    assert run_cli("eval", *argv, "--out", str(tmp_path / "e")) == 0
+    synth_rows = (tmp_path / "s" / "report.csv").read_text()
+    eval_rows = (tmp_path / "e" / "report.csv").read_text()
+    assert eval_rows == synth_rows
+    assert "level_opt (7,0)" in (tmp_path / "s" / "trace.txt").read_text()
+
+
+def test_eval_scripted_illegal_call_aborts(tmp_path: Path, capsys) -> None:
+    script = tmp_path / "bad.txt"
+    script.write_text("regroup 9 9 8 8\nfinish1\n")
+    rc = run_cli(
+        "eval", "--bits", "8", "--target", "0.2",
+        "--policy", f"scripted:{script}", "--out", str(tmp_path),
+    )
+    assert rc == 2
+    assert "aborted" in capsys.readouterr().err
 
 
 def test_export_structure(tmp_path: Path) -> None:

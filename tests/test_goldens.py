@@ -4,8 +4,9 @@
 writes.  A changed digest means the program's output changed; a change that
 fixes a defect updates the digest and names it in CHANGES.md.
 
-Run ``python tests/test_goldens.py`` to print the digests of the current
-program as JSON, for comparing against (or replacing) ``goldens.json``.
+Run ``PYTHONPATH=src python tests/test_goldens.py`` to print the digests of
+the current program as JSON, for comparing against (or replacing)
+``goldens.json``; the keys whose digest changed are listed on stderr.
 """
 
 from __future__ import annotations

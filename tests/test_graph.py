@@ -10,6 +10,7 @@ from prefixsynth.graph import (
     GraphError,
     Node,
     PrefixGraph,
+    addition_mismatches,
     deficiency,
     exhaustive_addition_check,
     parse_node_token,
@@ -17,7 +18,12 @@ from prefixsynth.graph import (
     simulate,
     validate,
 )
-from prefixsynth.structures import serial_graph, sklansky_graph
+from prefixsynth.structures import (
+    brent_kung_graph,
+    kogge_stone_graph,
+    serial_graph,
+    sklansky_graph,
+)
 
 from oracles import assert_graph_adds_exhaustive
 
@@ -137,3 +143,37 @@ def test_addition_check_helpers() -> None:
     )
     # (3,2) is absent from the node set, so validation fails first
     assert not validate(broken).ok
+
+
+@pytest.mark.parametrize("width", [65, 128, 256])
+@pytest.mark.parametrize("build", [sklansky_graph, kogge_stone_graph, brent_kung_graph])
+def test_random_check_accepts_textbook_adders_beyond_64_bits(build, width: int) -> None:
+    assert random_addition_check(build(width), count=4_000, seed=width) == []
+
+
+@pytest.mark.parametrize("width", [65, 128, 256])
+def test_random_check_rejects_one_corrupted_parent(width: int) -> None:
+    graph = sklansky_graph(width)
+    assert graph.parents[Node(3, 0)] == (Node(3, 2), Node(1, 0))
+    broken = graph.replace_parents({Node(3, 0): (Node(3, 2), Node(0, 0))})
+    # bit 1 no longer reaches (3,0) and every carry above it
+    bad = random_addition_check(broken, count=4_000, seed=width)
+    assert bad
+    for a, b in bad:
+        assert 0 <= a < 1 << width and 0 <= b < 1 << width
+        s, cout = simulate(broken, a, b)
+        assert (cout << width) | s != a + b
+    assert addition_mismatches(broken, bad) == bad
+    assert addition_mismatches(graph, bad) == []
+
+
+def test_exhaustive_check_reports_failing_pairs_in_lane_order() -> None:
+    broken = serial_graph(4).replace_parents({Node(3, 0): (Node(3, 3), Node(1, 0))})
+    bad = exhaustive_addition_check(broken)
+    assert len(bad) == 10
+    assert bad == sorted(bad)
+    want = [
+        (a, b) for a in range(16) for b in range(16)
+        if (lambda s, c: (c << 4) | s)(*simulate(broken, a, b)) != a + b
+    ]
+    assert bad == want[:10]

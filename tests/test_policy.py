@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixsynth.backbone import balanced_backbone, complete, init_serial
+from prefixsynth import policy as policy_module
+from prefixsynth.backbone import (
+    balanced_backbone,
+    complete,
+    find_candidates,
+    init_serial,
+    regroup,
+)
 from prefixsynth.esat import derive_trace, extract_optimal, saturate
 from prefixsynth.graph import Node
 from prefixsynth.lang import backbone_to_expr
@@ -38,7 +46,7 @@ from prefixsynth.policy import (
 )
 from prefixsynth.timing import ArrivalProfile, DelayModel, backbone_cost, graph_arrivals
 
-from oracles import random_shape, shape_to_expr
+from oracles import greedy_decide_ref, random_shape, shape_to_expr
 from prefixsynth.lang import expr_to_backbone
 
 MODEL = DelayModel()
@@ -81,8 +89,6 @@ def test_tool_schemas_phase_split() -> None:
 
 
 def _phase1_ctx(width: int = 4) -> DecisionContext:
-    from prefixsynth.backbone import find_candidates, to_timed_sexpr
-
     profile = ArrivalProfile((0.0350, 0.0350, 0.0250, 0.0150))
     bb = balanced_backbone(width)
     return DecisionContext(
@@ -93,7 +99,6 @@ def _phase1_ctx(width: int = 4) -> DecisionContext:
         profile=profile,
         model=MODEL,
         target=0.2,
-        state_text=to_timed_sexpr(bb, profile, MODEL),
         candidates=tuple(find_candidates(bb)),
         backbone=bb,
     )
@@ -107,7 +112,7 @@ def test_phase1_prompt_contains_state_block() -> None:
 
 
 def test_phase2_prompt_contains_efficiency_line() -> None:
-    from prefixsynth.epr import critical_path, render_epr
+    from prefixsynth.epr import critical_path
 
     g = complete(init_serial(4))
     profile = ArrivalProfile((0.0350, 0.0350, 0.0250, 0.0150))
@@ -121,7 +126,6 @@ def test_phase2_prompt_contains_efficiency_line() -> None:
         profile=profile,
         model=MODEL,
         target=0.2,
-        state_text=render_epr(g),
         graph=g,
         report=report,
         critical=critical,
@@ -201,6 +205,65 @@ def test_greedy_never_beats_extraction(width: int, seed: int) -> None:
     eg = saturate(backbone_to_expr(init_serial(width)))
     best = backbone_cost(extract_optimal(eg, profile, MODEL), profile, MODEL)
     assert greedy_cost >= best - 1e-12
+
+
+def _walk_profile(kind: str, width: int, model: DelayModel, seed: int) -> ArrivalProfile:
+    if kind == "tie-heavy":  # whole multiples of step: many exact cost ties
+        rng = random.Random(seed)
+        return ArrivalProfile(tuple(rng.randint(0, 4) * model.step for _ in range(width)))
+    return ArrivalProfile.preset(kind, width, model, seed)
+
+
+@given(
+    width=st.integers(2, 40),
+    kind=st.sampled_from(["uniform", "lsb-first", "random", "tie-heavy"]),
+    model=st.sampled_from([MODEL, DelayModel(node_delay=1.0, margin=0.0)]),
+    target_levels=st.one_of(st.none(), st.integers(0, 48)),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_greedy_decide_matches_full_recosting(
+    width: int, kind: str, model: DelayModel, target_levels: int | None, seed: int
+) -> None:
+    # Walk random regroups from the serial chain; at every backbone on the
+    # way, the incremental scorer must return the call full re-costing does.
+    profile = _walk_profile(kind, width, model, seed)
+    target = None if target_levels is None else target_levels * model.step
+    rng = random.Random(seed)
+    policy = GreedyBackbonePolicy()
+    bb = init_serial(width)
+    for k in range(1, 2 * width + 2):
+        candidates = tuple(find_candidates(bb))
+        ctx = DecisionContext(
+            phase=1, iteration=k, max_iterations=2 * width + 1, width=width,
+            profile=profile, model=model, target=target,
+            candidates=candidates, backbone=bb,
+        )
+        assert policy.decide(ctx) == greedy_decide_ref(ctx)
+        if not candidates:
+            break
+        bb = regroup(bb, *rng.choice(candidates))
+
+
+def test_deterministic_policies_never_render_state(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("prompt state rendered for a policy that never reads it")
+
+    monkeypatch.setattr(policy_module, "to_timed_sexpr", refuse)
+    monkeypatch.setattr(policy_module, "render_epr", refuse)
+    profile = ArrivalProfile.preset("random", 24, MODEL, seed=3)
+    p1 = run_phase1(24, profile, None, 64, GreedyBackbonePolicy(), MODEL)
+    assert p1.finished and p1.trace.steps
+    p2 = run_phase2(complete(p1.backbone), 0.3, 64, CriticalPathRefinePolicy(), profile, MODEL)
+    assert p2.actions
+
+
+def test_state_text_is_rendered_on_first_access() -> None:
+    ctx = _phase1_ctx()
+    assert "state_text" not in vars(ctx)
+    text = ctx.state_text
+    assert text.startswith("(3,0) [arrival=")
+    assert vars(ctx)["state_text"] is text
 
 
 def test_run_phase1_respects_iteration_bound() -> None:
