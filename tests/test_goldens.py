@@ -54,6 +54,8 @@ SYNTH_JOBS = [
 
 EVAL_JOBS = [(bits, profile) for bits in (16, 32) for profile in PROFILES]
 
+SCRIPTED_JOBS = [(bits, profile) for bits in (16, 32) for profile in PROFILES]
+
 
 def _digest(path: Path) -> dict:
     data = path.read_bytes()
@@ -83,6 +85,30 @@ def _synthesize(bits: int, profile: str, target: str | None, out: Path) -> dict[
     return {f"{name}/{a}": _digest(out / a) for a in SYNTH_ARTIFACTS}
 
 
+def _script(bits: int) -> str:
+    """A fixed scripted run: regroups, a comment and every phase-2 tool."""
+    m = bits - 1
+    return (
+        "# fixed schedule, valid at 16 and 32 bits\n"
+        "regroup 3 3 2 2\nregroup 5 5 4 4\nregroup 7 7 6 6\nregroup 7 6 5 4\n"
+        f"regroup {m} {m} {m - 1} {m - 1}\n"
+        "finish1\n"
+        f"level_opt ({m},0)\n"
+        "fanout_opt (3,0) (4,0)\n"
+        "node_clone (3,0)\n"
+        "finish2\n"
+    )
+
+
+def _scripted(bits: int, profile: str, out: Path) -> dict[str, dict]:
+    script = out / "script.txt"
+    script.write_text(_script(bits))
+    argv = ["synthesize", "--bits", str(bits), "--profile", profile]
+    _run(argv + ["--policy", f"scripted:{script}"], out)
+    name = f"synthesize-scripted-{bits}-{profile}"
+    return {f"{name}/{a}": _digest(out / a) for a in SYNTH_ARTIFACTS}
+
+
 def _eval(bits: int, profile: str, out: Path) -> dict[str, dict]:
     targets = ",".join(TARGETS[bits, profile])
     _run(["eval", "--bits", str(bits), "--profile", profile, "--target", targets], out)
@@ -109,6 +135,23 @@ def test_eval_report_digest(bits: int, profile: str, tmp_path: Path) -> None:
     assert got == {k: GOLDENS[k] for k in got}
 
 
+@pytest.mark.parametrize("bits,profile", SCRIPTED_JOBS)
+def test_scripted_synthesize_digests(bits: int, profile: str, tmp_path: Path) -> None:
+    got = _scripted(bits, profile, tmp_path)
+    assert got == {k: GOLDENS[k] for k in got}
+
+
+@pytest.mark.parametrize("bits", [16, 32])
+def test_greedy_trace_replays_as_script(bits: int, tmp_path: Path) -> None:
+    argv = ["synthesize", "--bits", str(bits), "--max-iters", "64"]
+    _run(argv, tmp_path / "greedy")
+    trace = tmp_path / "greedy" / "trace.txt"
+    _run(argv + ["--policy", f"scripted:{trace}"], tmp_path / "replay")
+    for name in ("design.epr", "trace.txt"):
+        replayed = (tmp_path / "replay" / name).read_bytes()
+        assert replayed == (tmp_path / "greedy" / name).read_bytes(), name
+
+
 def current_digests() -> dict[str, dict]:
     """Digests of every job in the matrix, as the program writes them now."""
     out: dict[str, dict] = {}
@@ -116,6 +159,7 @@ def current_digests() -> dict[str, dict]:
         [(_datagen, job) for job in DATAGEN_JOBS]
         + [(_synthesize, job) for job in SYNTH_JOBS]
         + [(_eval, job) for job in EVAL_JOBS]
+        + [(_scripted, job) for job in SCRIPTED_JOBS]
     )
     for run, job in jobs:
         with tempfile.TemporaryDirectory() as tmp:
