@@ -52,7 +52,8 @@ def main() -> None:
 
     trace = derive_trace(best)
     print(f"\nRegroup trace reaching the optimum ({len(trace.steps)} steps):")
-    print(trace.to_text())
+    for step in trace.steps:
+        print(step.to_line())
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .graph import (
 )
 from .lang import backbone_to_expr
 from .policy import (
+    Action,
     CriticalPathRefinePolicy,
     GreedyBackbonePolicy,
     Phase1Result,
@@ -39,10 +40,10 @@ from .policy import (
     RemoteEndpoint,
     RemoteLlmPolicy,
     ScriptedPolicy,
+    parse_script,
     run_phase1,
     run_phase2,
 )
-from .refine import parse_action_log
 from .structures import (
     brent_kung_graph,
     kogge_stone_graph,
@@ -50,7 +51,6 @@ from .structures import (
     sklansky_graph,
 )
 from .timing import ArrivalProfile, DelayModel, graph_arrivals, pareto_sweep
-from .esat import RegroupTrace
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -128,7 +128,11 @@ def _resolve_profile(
 ) -> ArrivalProfile:
     if os.path.isfile(spec):
         with open(spec, encoding="utf-8") as fh:
-            profile = ArrivalProfile.from_text(fh.read())
+            text = fh.read()
+        try:
+            profile = ArrivalProfile.from_text(text)
+        except ValueError as exc:
+            raise _located(spec, exc) from exc
         if len(profile) != width:
             raise ConfigError(
                 f"profile file has {len(profile)} arrivals for width {width}"
@@ -151,10 +155,11 @@ def _resolve_policies(cfg: RunConfig) -> tuple[Policy, Policy]:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read script {path}: {exc}") from exc
-        phase1_text, phase2_text = _split_script(text)
-        trace = RegroupTrace.from_text(cfg.width, phase1_text)
-        actions = parse_action_log(phase2_text)
-        return ScriptedPolicy.from_trace(trace), ScriptedPolicy.from_actions(actions)
+        try:
+            phase1, phase2 = parse_script(text)
+        except PolicyError as exc:
+            raise _located(path, exc) from exc
+        return ScriptedPolicy(phase1), ScriptedPolicy(phase2)
     if spec == "remote" or spec.startswith("remote:"):
         try:
             endpoint = (
@@ -169,13 +174,12 @@ def _resolve_policies(cfg: RunConfig) -> tuple[Policy, Policy]:
     raise ConfigError(f"unknown policy {spec!r}")
 
 
-def _split_script(text: str) -> tuple[str, str]:
-    """Split a scripted-policy file at its finish1 line."""
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        if line.strip().split()[:1] == ["finish1"]:
-            return "\n".join(lines[: i + 1]), "\n".join(lines[i + 1 :])
-    return text, ""
+def _located(path: str, exc: Exception) -> ConfigError:
+    """``FILE:LINE: message`` for a parser error reading ``line N: message``."""
+    line, sep, message = str(exc).partition(": ")
+    if sep and line.startswith("line ") and line[5:].isdigit():
+        return ConfigError(f"{path}:{line[5:]}: {message}")
+    return ConfigError(f"{path}: {exc}")
 
 
 def _write(out_dir: str, name: str, content: str) -> str:
@@ -193,14 +197,14 @@ def _check_addition(graph: PrefixGraph, seed: int) -> list[tuple[int, int]]:
 
 
 def _trace_text(p1: Phase1Result, p2: Phase2Result | None) -> str:
-    parts = [p1.trace.to_text()]
+    actions = list(p1.trace.steps)
     if p1.finished:
-        parts.append("finish1\n")
+        actions.append(Action("finish1"))
     if p2 is not None:
-        parts.extend(a.render() + "\n" for a in p2.actions)
+        actions += p2.actions
         if p2.finished:
-            parts.append("finish2\n")
-    return "".join(parts)
+            actions.append(Action("finish2"))
+    return "".join(action.to_line() + "\n" for action in actions)
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
@@ -432,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EprParseError, OSError) as exc:
+    except (ConfigError, EprParseError, OSError, UnicodeDecodeError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -14,17 +14,15 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .backbone import Backbone, RegroupError, find_candidates, init_serial, regroup, to_timed_sexpr
-from .esat import RegroupTrace
+from .backbone import Backbone, RegroupError, find_candidates, init_serial, regroup
 from .graph import IncompleteGraphError, Node, PrefixGraph
 from .policy import (
+    Action,
     DecisionContext,
-    Finish1,
-    Regroup,
+    RegroupTrace,
     build_phase1_prompt,
     candidates_text,
     system_prompt,
-    to_record,
 )
 from .timing import ArrivalProfile, DelayModel, SweepRow
 
@@ -129,32 +127,25 @@ def synthesize_samples(
                 f"trace {index}: width {trace.width} != expected {width}"
             )
             continue
-        bb = init_serial(width)
         total = len(trace.steps) + 1
+        ctx = _phase1_context(init_serial(width), 1, total, profile, model, target)
         turns: list[SampleTurn] = []
         try:
-            for k, (a, b) in enumerate(trace.steps, 1):
-                state = _phase1_state(bb, k, total, profile, model, target)
-                bb = regroup(bb, a, b)
+            for k, step in enumerate(trace.steps, 2):
+                state = build_phase1_prompt(ctx)
+                bb = regroup(ctx.backbone, *step.args)
+                ctx = _phase1_context(bb, k, total, profile, model, target)
                 feedback = "{}\n{}".format(
-                    to_timed_sexpr(bb, profile, model).rstrip("\n"),
-                    candidates_text(tuple(find_candidates(bb))),
+                    ctx.state_text.rstrip("\n"), candidates_text(ctx.candidates)
                 )
-                turns.append(
-                    SampleTurn(
-                        state=state,
-                        call=to_record(Regroup(a, b)),
-                        feedback=feedback,
-                    )
-                )
+                turns.append(SampleTurn(state=state, call=step.to_json(), feedback=feedback))
         except RegroupError as exc:
             diagnostics.append(f"trace {index}: {exc}")
             continue
-        state = _phase1_state(bb, total, total, profile, model, target)
         turns.append(
             SampleTurn(
-                state=state,
-                call=to_record(Finish1()),
+                state=build_phase1_prompt(ctx),
+                call=Action("finish1").to_json(),
                 feedback="backbone accepted; phase 1 complete",
             )
         )
@@ -169,15 +160,17 @@ def synthesize_samples(
     return samples, diagnostics
 
 
-def _phase1_state(
+def _phase1_context(
     bb: Backbone,
     iteration: int,
     max_iterations: int,
     profile: ArrivalProfile,
     model: DelayModel,
     target: float | None,
-) -> str:
-    ctx = DecisionContext(
+) -> DecisionContext:
+    """The context of one sample turn; the next turn's context also supplies
+    the feedback of the turn before it, so each backbone renders once."""
+    return DecisionContext(
         phase=1,
         iteration=iteration,
         max_iterations=max_iterations,
@@ -188,7 +181,6 @@ def _phase1_state(
         candidates=tuple(find_candidates(bb)),
         backbone=bb,
     )
-    return build_phase1_prompt(ctx)
 
 
 def emit_samples(samples: list[TrainingSample]) -> str:

@@ -18,18 +18,17 @@ e-graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator, Union
 
 from .backbone import Backbone, complete, find_candidates, init_serial, regroup
 from .graph import Node
 from .lang import BackboneExpr, Group, Leaf, expr_to_backbone, expr_width
+from .policy import Action, RegroupTrace
 from .timing import ArrivalProfile, DelayModel
 
 __all__ = [
     "EGraph",
-    "RegroupTrace",
     "TraceError",
     "saturate",
     "count_trees",
@@ -163,46 +162,8 @@ def extract_perturbed(
     return _extract(eg, profile, model, noise)
 
 
-@dataclass(frozen=True)
-class RegroupTrace:
-    """An ordered regroup schedule, replayable from the serial backbone."""
-
-    width: int
-    steps: tuple[tuple[Node, Node], ...]
-
-    def replay(self) -> Backbone:
-        bb = init_serial(self.width)
-        for a, b in self.steps:
-            bb = regroup(bb, a, b)
-        return bb
-
-    def to_text(self) -> str:
-        return "".join(
-            f"regroup {a.msb} {a.lsb} {b.msb} {b.lsb}\n" for a, b in self.steps
-        )
-
-    @classmethod
-    def from_text(cls, width: int, text: str) -> RegroupTrace:
-        steps: list[tuple[Node, Node]] = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] in ("finish1", "finish2"):
-                break
-            if parts[0] != "regroup" or len(parts) != 5:
-                raise TraceError(f"line {lineno}: expected 'regroup a.msb a.lsb b.msb b.lsb'")
-            try:
-                nums = [int(p) for p in parts[1:]]
-            except ValueError as exc:
-                raise TraceError(f"line {lineno}: {exc}") from exc
-            steps.append((Node(nums[0], nums[1]), Node(nums[2], nums[3])))
-        return cls(width, tuple(steps))
-
-
 class TraceError(Exception):
-    """A trace that cannot be parsed or replayed."""
+    """No regroup schedule reaches the requested backbone."""
 
 
 def derive_trace(target: Union[BackboneExpr, Backbone]) -> RegroupTrace:
@@ -215,7 +176,7 @@ def derive_trace(target: Union[BackboneExpr, Backbone]) -> RegroupTrace:
     bb_target = target if isinstance(target, Backbone) else expr_to_backbone(target)
     wanted = bb_target.nodes
     bb = init_serial(bb_target.width)
-    steps: list[tuple[Node, Node]] = []
+    steps: list[Action] = []
     limit = len(wanted - bb.nodes)
     while bb != bb_target:
         applicable = [
@@ -229,7 +190,7 @@ def derive_trace(target: Union[BackboneExpr, Backbone]) -> RegroupTrace:
             )
         a, b = min(applicable, key=lambda ab: (ab[0].msb, ab[1].msb))
         bb = regroup(bb, a, b)
-        steps.append((a, b))
+        steps.append(Action("regroup", (a, b)))
     return RegroupTrace(bb_target.width, tuple(steps))
 
 

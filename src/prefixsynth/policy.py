@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Protocol, Sequence, Union
+from typing import Callable, NamedTuple, Protocol, Sequence
 
+from . import refine
 from .backbone import (
     Backbone,
     RegroupError,
@@ -27,28 +28,15 @@ from .backbone import (
     to_timed_sexpr,
 )
 from .epr import CriticalPath, critical_path, render_epr
-from .esat import RegroupTrace
-from .graph import Node, PrefixGraph, parse_node_token
-from .refine import (
-    RefineAction,
-    RefinementError,
-    apply_action,
-    fanout_opt,
-    level_opt,
-)
+from .graph import GraphError, Node, PrefixGraph, parse_node_token
+from .refine import RefinementError, fanout_opt, level_opt
 from .timing import ArrivalProfile, DelayModel, TimingReport, graph_arrivals
 
 __all__ = [
-    "Regroup",
-    "Finish1",
-    "LevelOpt",
-    "FanoutOpt",
-    "NodeClone",
-    "Finish2",
-    "ToolCall",
-    "to_record",
-    "from_record",
+    "Action",
+    "parse_script",
     "tool_schemas",
+    "RegroupTrace",
     "DecisionContext",
     "Policy",
     "PolicyError",
@@ -72,45 +60,7 @@ __all__ = [
 RETRY_BUDGET = 3
 
 
-# -- tool calls --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Regroup:
-    a: Node
-    b: Node
-
-
-@dataclass(frozen=True)
-class Finish1:
-    pass
-
-
-@dataclass(frozen=True)
-class LevelOpt:
-    target: Node
-
-
-@dataclass(frozen=True)
-class FanoutOpt:
-    target: Node
-    consumer: Node
-
-
-@dataclass(frozen=True)
-class NodeClone:
-    target: Node
-
-
-@dataclass(frozen=True)
-class Finish2:
-    pass
-
-
-ToolCall = Union[Regroup, Finish1, LevelOpt, FanoutOpt, NodeClone, Finish2]
-
-PHASE1_TOOLS = (Regroup, Finish1)
-PHASE2_TOOLS = (LevelOpt, FanoutOpt, NodeClone, Finish2)
+# -- actions -----------------------------------------------------------------
 
 
 class PolicyError(Exception):
@@ -125,102 +75,148 @@ class PolicyAbort(Exception):
         self.partial = partial
 
 
-def to_record(call: ToolCall) -> dict:
-    """Serialize a tool call to its JSON wire form."""
-    if isinstance(call, Regroup):
-        return {"tool": "regroup", "args": {"a": call.a.token(), "b": call.b.token()}}
-    if isinstance(call, Finish1):
-        return {"tool": "finish1", "args": {}}
-    if isinstance(call, LevelOpt):
-        return {"tool": "level_opt", "args": {"target": call.target.token()}}
-    if isinstance(call, FanoutOpt):
-        return {
-            "tool": "fanout_opt",
-            "args": {"target": call.target.token(), "consumer": call.consumer.token()},
-        }
-    if isinstance(call, NodeClone):
-        return {"tool": "node_clone", "args": {"target": call.target.token()}}
-    if isinstance(call, Finish2):
-        return {"tool": "finish2", "args": {}}
-    raise PolicyError(f"unknown tool call {call!r}")
+class _Tool(NamedTuple):
+    phase: int
+    operands: tuple[str, ...]
+    description: str
 
 
-def from_record(record: object) -> ToolCall:
-    """Parse the JSON wire form back into a tool call."""
-    if not isinstance(record, dict):
-        raise PolicyError("tool call must be a JSON object")
-    tool = record.get("tool")
-    args = record.get("args", {})
-    if not isinstance(args, dict):
-        raise PolicyError("'args' must be an object")
+_TOOLS = {
+    "regroup": _Tool(1, ("a", "b"), "Rotate the backbone at a candidate pair: "
+                     "group the two named nodes into a new node."),
+    "finish1": _Tool(1, (), "Accept the current backbone and end phase one."),
+    "level_opt": _Tool(2, ("target",), "Re-split the target node to lower its level."),
+    "fanout_opt": _Tool(2, ("target", "consumer"), "Re-split the consumer so it "
+                        "stops reading the target, lowering the target's fanout."),
+    "node_clone": _Tool(2, ("target",), "Duplicate the target and move half of its "
+                        "consumers to the clone."),
+    "finish2": _Tool(2, (), "Accept the current graph and end phase two."),
+}
 
-    def node_arg(name: str) -> Node:
-        value = args.get(name)
-        if not isinstance(value, str):
-            raise PolicyError(f"missing node argument {name!r}")
+
+@dataclass(frozen=True)
+class Action:
+    """One tool call: a tool name and its node operands, in the order the
+    tool table names them.
+
+    Two codecs: :meth:`to_json`/:meth:`from_json` for the ``{"tool",
+    "args"}`` wire form, :meth:`to_line`/:meth:`from_line` for the script and
+    ``trace.txt`` line (``regroup a.msb a.lsb b.msb b.lsb``, ``level_opt
+    (3,0)``, ``fanout_opt T C``, ``node_clone T``, ``finish1``, ``finish2``).
+    """
+
+    tool: str
+    args: tuple[Node, ...] = ()
+
+    @property
+    def phase(self) -> int:
+        """The phase the tool belongs to; 0 for an unknown tool."""
+        return _TOOLS[self.tool].phase if self.tool in _TOOLS else 0
+
+    def to_json(self) -> dict:
+        names = _TOOLS[self.tool].operands
+        args = {name: node.token() for name, node in zip(names, self.args)}
+        return {"tool": self.tool, "args": args}
+
+    @classmethod
+    def from_json(cls, record: object) -> Action:
+        if not isinstance(record, dict):
+            raise PolicyError("tool call must be a JSON object")
+        args = record.get("args", {})
+        if not isinstance(args, dict):
+            raise PolicyError("'args' must be an object")
+        tool = record.get("tool")
+        if tool not in _TOOLS:
+            raise PolicyError(f"unknown tool {tool!r}")
+        nodes = []
+        for name in _TOOLS[tool].operands:
+            value = args.get(name)
+            if not isinstance(value, str):
+                raise PolicyError(f"missing node argument {name!r}")
+            try:
+                nodes.append(parse_node_token(value))
+            except GraphError as exc:
+                raise PolicyError(f"bad node token for {name!r}: {value!r}") from exc
+        return cls(tool, tuple(nodes))
+
+    def to_line(self) -> str:
+        if self.tool == "regroup":
+            a, b = self.args
+            return f"regroup {a.msb} {a.lsb} {b.msb} {b.lsb}"
+        return " ".join([self.tool, *(node.token() for node in self.args)])
+
+    @classmethod
+    def from_line(cls, line: str) -> Action:
+        tool, *words = line.split()
+        if tool not in _TOOLS:
+            raise PolicyError(f"unknown tool {tool!r}")
+        operands = _TOOLS[tool].operands
+        if tool == "regroup":
+            try:
+                msb_a, lsb_a, msb_b, lsb_b = map(int, words)
+            except ValueError as exc:
+                raise PolicyError("expected 'regroup a.msb a.lsb b.msb b.lsb'") from exc
+            words = [f"({msb_a},{lsb_a})", f"({msb_b},{lsb_b})"]
+        elif len(words) != len(operands):
+            raise PolicyError(f"{tool} takes {len(operands)} operand(s), got {len(words)}")
+        return cls.from_json({"tool": tool, "args": dict(zip(operands, words))})
+
+
+def parse_script(text: str) -> tuple[tuple[Action, ...], tuple[Action, ...]]:
+    """Read a script (or a ``trace.txt``) into its phase-1 and phase-2 actions.
+
+    One :meth:`Action.to_line` per line; blank lines and ``#`` comments are
+    skipped and a bare ``finish`` reads as ``finish2``.  ``finish1`` or the
+    first phase-2 line ends phase 1; ``finish2``, or any finish line once
+    phase 2 has begun, ends the script.  Errors start with ``line N:``,
+    counted over the whole text.
+    """
+    phases: tuple[list[Action], list[Action]] = ([], [])
+    current = 1
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
         try:
-            return parse_node_token(value)
-        except Exception as exc:
-            raise PolicyError(f"bad node token for {name!r}: {value!r}") from exc
-
-    if tool == "regroup":
-        return Regroup(node_arg("a"), node_arg("b"))
-    if tool == "finish1":
-        return Finish1()
-    if tool == "level_opt":
-        return LevelOpt(node_arg("target"))
-    if tool == "fanout_opt":
-        return FanoutOpt(node_arg("target"), node_arg("consumer"))
-    if tool == "node_clone":
-        return NodeClone(node_arg("target"))
-    if tool == "finish2":
-        return Finish2()
-    raise PolicyError(f"unknown tool {tool!r}")
+            action = Action.from_line("finish2" if line == "finish" else line)
+        except PolicyError as exc:
+            raise PolicyError(f"line {lineno}: {exc}") from exc
+        if action.tool == "finish2" or (action.tool == "finish1" and current == 2):
+            break
+        if action.tool == "finish1":
+            current = 2
+            continue
+        if action.phase < current:
+            raise PolicyError(f"line {lineno}: {action.tool} after phase 2 began")
+        current = action.phase
+        phases[current - 1].append(action)
+    return tuple(phases[0]), tuple(phases[1])
 
 
 def tool_schemas(phase: int) -> list[dict]:
     """JSON schemas for the tools legal in a phase."""
+    if phase not in (1, 2):
+        raise ValueError(f"no such phase: {phase}")
     node = {"type": "string", "pattern": r"\(\d+,\d+\)(#\d+)?"}
-    if phase == 1:
-        return [
-            {
-                "name": "regroup",
-                "description": "Rotate the backbone at a candidate pair: "
-                "group the two named nodes into a new node.",
-                "parameters": {"a": node, "b": node},
-            },
-            {
-                "name": "finish1",
-                "description": "Accept the current backbone and end phase one.",
-                "parameters": {},
-            },
-        ]
-    if phase == 2:
-        return [
-            {
-                "name": "level_opt",
-                "description": "Re-split the target node to lower its level.",
-                "parameters": {"target": node},
-            },
-            {
-                "name": "fanout_opt",
-                "description": "Re-split the consumer so it stops reading the "
-                "target, lowering the target's fanout.",
-                "parameters": {"target": node, "consumer": node},
-            },
-            {
-                "name": "node_clone",
-                "description": "Duplicate the target and move half of its "
-                "consumers to the clone.",
-                "parameters": {"target": node},
-            },
-            {
-                "name": "finish2",
-                "description": "Accept the current graph and end phase two.",
-                "parameters": {},
-            },
-        ]
-    raise ValueError(f"no such phase: {phase}")
+    return [
+        {"name": name, "description": tool.description,
+         "parameters": {operand: node for operand in tool.operands}}
+        for name, tool in _TOOLS.items() if tool.phase == phase
+    ]
+
+
+@dataclass(frozen=True)
+class RegroupTrace:
+    """The regroup actions that rebuild a backbone from the serial chain."""
+
+    width: int
+    steps: tuple[Action, ...]
+
+    def replay(self) -> Backbone:
+        bb = init_serial(self.width)
+        for step in self.steps:
+            bb = regroup(bb, *step.args)
+        return bb
 
 
 # -- context and prompts ------------------------------------------------------
@@ -260,11 +256,7 @@ class DecisionContext:
 
 
 class Policy(Protocol):
-    def decide(self, ctx: DecisionContext) -> ToolCall: ...
-
-
-def _target_text(target: float | None) -> str:
-    return "none (minimize delay)" if target is None else f"{target:.4f}"
+    def decide(self, ctx: DecisionContext) -> Action: ...
 
 
 def candidates_text(candidates: Sequence[tuple[Node, Node]]) -> str:
@@ -277,29 +269,35 @@ def candidates_text(candidates: Sequence[tuple[Node, Node]]) -> str:
     return "\n".join(lines)
 
 
+def _prompt(ctx: DecisionContext, body: list[str], example: Action) -> str:
+    target = "none (minimize delay)" if ctx.target is None else f"{ctx.target:.4f}"
+    lines = [
+        f"Phase {ctx.phase} of prefix-adder synthesis, {ctx.width}-bit operands.",
+        f"Iteration {ctx.iteration} of {ctx.max_iterations}."
+        f" Target delay: {target}.",
+        "",
+        *body,
+        "",
+        "Respond with exactly one JSON tool call, e.g. "
+        f"{json.dumps(example.to_json())} or "
+        f"{json.dumps(Action(f'finish{ctx.phase}').to_json())}.",
+        "Available tools:",
+        json.dumps(tool_schemas(ctx.phase), indent=2),
+    ]
+    if ctx.feedback:
+        lines += ["", f"Feedback on your last response: {ctx.feedback}"]
+    return "\n".join(lines) + "\n"
+
+
 def build_phase1_prompt(ctx: DecisionContext) -> str:
     """Deterministic phase-one prompt: annotated backbone + candidate menu."""
-    lines = [
-        f"Phase 1 of prefix-adder synthesis, {ctx.width}-bit operands.",
-        f"Iteration {ctx.iteration} of {ctx.max_iterations}."
-        f" Target delay: {_target_text(ctx.target)}.",
-        "",
+    body = [
         "Current backbone as a timing-annotated s-expression:",
         ctx.state_text.rstrip("\n"),
         "",
         candidates_text(ctx.candidates),
     ]
-    lines += [
-        "",
-        "Respond with exactly one JSON tool call, e.g. "
-        '{"tool": "regroup", "args": {"a": "(3,2)", "b": "(1,1)"}} or '
-        '{"tool": "finish1", "args": {}}.',
-        "Available tools:",
-        json.dumps(tool_schemas(1), indent=2),
-    ]
-    if ctx.feedback:
-        lines += ["", f"Feedback on your last response: {ctx.feedback}"]
-    return "\n".join(lines) + "\n"
+    return _prompt(ctx, body, Action("regroup", (Node(3, 2), Node(1, 1))))
 
 
 def build_phase2_prompt(ctx: DecisionContext) -> str:
@@ -307,11 +305,7 @@ def build_phase2_prompt(ctx: DecisionContext) -> str:
     report = ctx.report
     assert report is not None and ctx.graph is not None and ctx.critical is not None
     slack_text = "n/a" if report.slack is None else f"{report.slack:.4f}"
-    lines = [
-        f"Phase 2 of prefix-adder synthesis, {ctx.width}-bit operands.",
-        f"Iteration {ctx.iteration} of {ctx.max_iterations}."
-        f" Target delay: {_target_text(ctx.target)}.",
-        "",
+    body = [
         f"Metrics: delay={report.delay:.4f}, slack={slack_text}, "
         f"area={report.area}, max_level={ctx.graph.depth}, "
         f"max_fanout={ctx.graph.max_fanout()}.",
@@ -321,16 +315,8 @@ def build_phase2_prompt(ctx: DecisionContext) -> str:
         "",
         "Critical path:",
         ctx.critical.render(),
-        "",
-        "Respond with exactly one JSON tool call, e.g. "
-        '{"tool": "level_opt", "args": {"target": "(7,0)"}} or '
-        '{"tool": "finish2", "args": {}}.',
-        "Available tools:",
-        json.dumps(tool_schemas(2), indent=2),
     ]
-    if ctx.feedback:
-        lines += ["", f"Feedback on your last response: {ctx.feedback}"]
-    return "\n".join(lines) + "\n"
+    return _prompt(ctx, body, Action("level_opt", (Node(7, 0),)))
 
 
 _ASSET_NAMES = {1: "phase1_system.txt", 2: "phase2_system.txt"}
@@ -361,10 +347,65 @@ class Phase1Result:
 @dataclass(frozen=True)
 class Phase2Result:
     graph: PrefixGraph
-    actions: tuple[RefineAction, ...]
+    actions: tuple[Action, ...]
     iterations: int
     finished: bool
     notes: tuple[str, ...] = ()
+
+
+class _Phase(NamedTuple):
+    """One phase for the shared loop: a context template whose phase names
+    the legal tools, the state's part of each context, the edit, the result."""
+
+    base: DecisionContext
+    view: Callable[[object], dict]
+    apply: Callable[[object, Action], object]
+    result: Callable[[object, tuple[Action, ...], int, bool, tuple[str, ...]], object]
+
+
+def _run(phase: _Phase, state: object, policy: Policy):
+    """At most ``max_iterations`` decisions, each a validated action or the
+    phase's finish.  A rejected action is fed back to the policy; three in a
+    row, or a :class:`PolicyError`, abort with the partial result."""
+    number = phase.base.phase
+    if phase.base.max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    applied: list[Action] = []
+    notes: list[str] = []
+    feedback: str | None = None
+    strikes = 0
+    k = 0
+    while k < phase.base.max_iterations:
+        k += 1
+        ctx = replace(phase.base, iteration=k, feedback=feedback, **phase.view(state))
+        feedback = None
+        try:
+            action = policy.decide(ctx)
+        except PolicyError as exc:
+            raise PolicyAbort(
+                f"policy failed at iteration {k}: {exc}",
+                phase.result(state, tuple(applied), k, False, tuple(notes)),
+            ) from exc
+        if action.tool == f"finish{number}":
+            return phase.result(state, tuple(applied), k, True, tuple(notes))
+        if action.phase != number:
+            feedback = f"{action.tool} is not legal in phase {number}"
+        else:
+            try:
+                state = phase.apply(state, action)
+                applied.append(action)
+                strikes = 0
+                continue
+            except (RegroupError, RefinementError) as exc:
+                feedback = str(exc)
+        strikes += 1
+        notes.append(f"iteration {k}: rejected ({feedback})")
+        if strikes >= RETRY_BUDGET:
+            raise PolicyAbort(
+                f"{RETRY_BUDGET} consecutive rejected decisions: {feedback}",
+                phase.result(state, tuple(applied), k, False, tuple(notes)),
+            )
+    return phase.result(state, tuple(applied), k, False, tuple(notes))
 
 
 def run_phase1(
@@ -375,84 +416,18 @@ def run_phase1(
     policy: Policy,
     model: DelayModel = DelayModel(),
 ) -> Phase1Result:
-    """Drive the backbone loop: at most ``max_iterations`` policy decisions,
-    each either a validated regroup or a finishing call.
-
-    Three consecutive rejected decisions abort with the partial trace.
-    """
+    """Drive the backbone loop from the serial chain: each decision is a
+    regroup at one of the current candidates or ``finish1``."""
     if width < 2:
         raise ValueError("width must be >= 2")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    bb = init_serial(width)
-    steps: list[tuple[Node, Node]] = []
-    notes: list[str] = []
-    feedback: str | None = None
-    strikes = 0
-    finished = False
-    k = 0
-    while k < max_iterations:
-        k += 1
-        candidates = tuple(find_candidates(bb))
-        ctx = DecisionContext(
-            phase=1,
-            iteration=k,
-            max_iterations=max_iterations,
-            width=width,
-            profile=profile,
-            model=model,
-            target=target,
-            candidates=candidates,
-            backbone=bb,
-            feedback=feedback,
-        )
-        feedback = None
-        try:
-            call = policy.decide(ctx)
-        except PolicyError as exc:
-            raise PolicyAbort(
-                f"policy failed at iteration {k}: {exc}",
-                Phase1Result(bb, RegroupTrace(width, tuple(steps)), k, False),
-            ) from exc
-        if isinstance(call, Finish1):
-            finished = True
-            break
-        if not isinstance(call, Regroup):
-            feedback = f"{type(call).__name__} is not legal in phase 1"
-        elif (call.a, call.b) not in candidates:
-            feedback = (
-                f"regroup {call.a.token()} {call.b.token()} is not an"
-                " applicable candidate"
-            )
-        else:
-            try:
-                bb = regroup(bb, call.a, call.b)
-            except RegroupError as exc:  # pragma: no cover - candidates are valid
-                feedback = str(exc)
-            else:
-                steps.append((call.a, call.b))
-                strikes = 0
-                continue
-        strikes += 1
-        notes.append(f"iteration {k}: rejected ({feedback})")
-        if strikes >= RETRY_BUDGET:
-            raise PolicyAbort(
-                f"{RETRY_BUDGET} consecutive rejected decisions: {feedback}",
-                Phase1Result(bb, RegroupTrace(width, tuple(steps)), k, False, tuple(notes)),
-            )
-    return Phase1Result(
-        bb, RegroupTrace(width, tuple(steps)), k, finished, tuple(notes)
+
+    phase = _Phase(
+        DecisionContext(1, 0, max_iterations, width, profile, model, target),
+        lambda bb: {"candidates": tuple(find_candidates(bb)), "backbone": bb},
+        lambda bb, action: regroup(bb, *action.args),
+        lambda bb, steps, *rest: Phase1Result(bb, RegroupTrace(width, steps), *rest),
     )
-
-
-def _phase2_call_to_action(call: ToolCall) -> RefineAction:
-    if isinstance(call, LevelOpt):
-        return RefineAction("level_opt", call.target)
-    if isinstance(call, FanoutOpt):
-        return RefineAction("fanout_opt", call.target, call.consumer)
-    if isinstance(call, NodeClone):
-        return RefineAction("node_clone", call.target)
-    raise PolicyError(f"not a phase-2 edit: {call!r}")
+    return _run(phase, init_serial(width), policy)
 
 
 def run_phase2(
@@ -465,70 +440,25 @@ def run_phase2(
 ) -> Phase2Result:
     """Drive the refinement loop over a complete graph.
 
-    Each iteration regenerates the timing report, EPR, and critical path,
-    then applies one validated tool call; ends on finish2 or the iteration
-    bound.
+    Each iteration regenerates the timing report and critical path, then
+    applies one validated tool call; ends on finish2 or the iteration bound.
     """
     if not graph.is_complete:
         raise ValueError("phase 2 requires a complete graph")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    actions: list[RefineAction] = []
-    notes: list[str] = []
-    feedback: str | None = None
-    strikes = 0
-    finished = False
-    k = 0
-    while k < max_iterations:
-        k += 1
+
+    def view(graph: PrefixGraph) -> dict:
         report = graph_arrivals(graph, profile, model, target)
         critical = critical_path(
             graph, report.arrivals, report.critical_start, report.critical_end
         )
-        ctx = DecisionContext(
-            phase=2,
-            iteration=k,
-            max_iterations=max_iterations,
-            width=graph.width,
-            profile=profile,
-            model=model,
-            target=target,
-            graph=graph,
-            report=report,
-            critical=critical,
-            feedback=feedback,
-        )
-        feedback = None
-        try:
-            call = policy.decide(ctx)
-        except PolicyError as exc:
-            raise PolicyAbort(
-                f"policy failed at iteration {k}: {exc}",
-                Phase2Result(graph, tuple(actions), k, False, tuple(notes)),
-            ) from exc
-        if isinstance(call, Finish2):
-            finished = True
-            break
-        if not isinstance(call, PHASE2_TOOLS):
-            feedback = f"{type(call).__name__} is not legal in phase 2"
-        else:
-            action = _phase2_call_to_action(call)
-            try:
-                graph = apply_action(graph, action)
-            except RefinementError as exc:
-                feedback = str(exc)
-            else:
-                actions.append(action)
-                strikes = 0
-                continue
-        strikes += 1
-        notes.append(f"iteration {k}: rejected ({feedback})")
-        if strikes >= RETRY_BUDGET:
-            raise PolicyAbort(
-                f"{RETRY_BUDGET} consecutive rejected decisions: {feedback}",
-                Phase2Result(graph, tuple(actions), k, False, tuple(notes)),
-            )
-    return Phase2Result(graph, tuple(actions), k, finished, tuple(notes))
+        return {"graph": graph, "report": report, "critical": critical}
+
+    def apply(graph: PrefixGraph, action: Action) -> PrefixGraph:
+        # Looked up at call time, so a wrapper installed on the module is used.
+        return getattr(refine, action.tool)(graph, *action.args)
+
+    base = DecisionContext(2, 0, max_iterations, graph.width, profile, model, target)
+    return _run(_Phase(base, view, apply, Phase2Result), graph, policy)
 
 
 # -- deterministic policies ----------------------------------------------------
@@ -546,7 +476,7 @@ class GreedyBackbonePolicy:
     tree.
     """
 
-    def decide(self, ctx: DecisionContext) -> ToolCall:
+    def decide(self, ctx: DecisionContext) -> Action:
         bb = ctx.backbone
         if bb is None:
             raise PolicyError("greedy backbone policy needs structured state")
@@ -555,7 +485,7 @@ class GreedyBackbonePolicy:
         cost = arrival_table(bb, ctx.profile, ctx.model)
         current = cost[bb.root]
         if ctx.target is not None and current <= ctx.target:
-            return Finish1()
+            return Action("finish1")
         # Arrivals down the ridge, root first and ending at the leaf (0, 0),
         # and of each ridge node's upper parent.
         position: dict[int, int] = {}
@@ -569,7 +499,6 @@ class GreedyBackbonePolicy:
             up_cost.append(cost[up])
         ridge_cost.append(cost[node])
         best: tuple[float, int] | None = None
-        best_call: ToolCall = Finish1()
         for i, (a, b) in enumerate(ctx.candidates):
             # The site (a.msb, 0) is ridge node j and a its upper parent; b
             # is the upper parent of ridge node j + 1, which the regroup
@@ -584,10 +513,9 @@ class GreedyBackbonePolicy:
             score = x if j == 0 else current
             if best is None or (score, i) < best:
                 best = (score, i)
-                best_call = Regroup(a, b)
         if best is None or best[0] >= current:
-            return Finish1()
-        return best_call
+            return Action("finish1")
+        return Action("regroup", ctx.candidates[best[1]])
 
 
 class CriticalPathRefinePolicy:
@@ -599,12 +527,12 @@ class CriticalPathRefinePolicy:
     finishes when slack is met or nothing applies.
     """
 
-    def decide(self, ctx: DecisionContext) -> ToolCall:
+    def decide(self, ctx: DecisionContext) -> Action:
         graph, report, critical = ctx.graph, ctx.report, ctx.critical
         if graph is None or report is None or critical is None:
             raise PolicyError("critical-path policy needs structured state")
         if report.slack is not None and report.slack >= 0:
-            return Finish2()
+            return Action("finish2")
 
         internal = [n for n in critical.nodes if not n.is_input]
         by_gap = sorted(
@@ -619,7 +547,7 @@ class CriticalPathRefinePolicy:
                 level_opt(graph, node)
             except RefinementError:
                 continue
-            return LevelOpt(node)
+            return Action("level_opt", (node,))
 
         drivers = sorted(
             (n for n in critical.nodes if graph.fanout(n) >= 2),
@@ -632,55 +560,29 @@ class CriticalPathRefinePolicy:
                     fanout_opt(graph, driver, consumer)
                 except RefinementError:
                     continue
-                return FanoutOpt(driver, consumer)
+                return Action("fanout_opt", (driver, consumer))
         for driver in drivers:
             if not driver.is_input:
-                return NodeClone(driver)
-        return Finish2()
+                return Action("node_clone", (driver,))
+        return Action("finish2")
 
 
 class ScriptedPolicy:
-    """Replays a fixed decision sequence, then finishes the current phase.
+    """Replays a fixed action sequence, then finishes the current phase.
 
-    A rejected call is re-issued verbatim (the script has no way to adapt),
-    so an illegal scripted call exhausts the orchestrator's strike budget
+    A rejected action is re-issued verbatim (the script has no way to adapt),
+    so an illegal scripted action exhausts the orchestrator's strike budget
     instead of being skipped.
     """
 
-    def __init__(self, calls: Sequence[ToolCall]) -> None:
-        self._calls = list(calls)
-        self._next = 0
-        self._last: ToolCall | None = None
+    def __init__(self, actions: Sequence[Action]) -> None:
+        self._actions = iter(actions)
+        self._last: Action | None = None
 
-    @classmethod
-    def from_trace(cls, trace: RegroupTrace) -> ScriptedPolicy:
-        return cls([Regroup(a, b) for a, b in trace.steps] + [Finish1()])
-
-    @classmethod
-    def from_actions(cls, actions: Sequence[RefineAction]) -> ScriptedPolicy:
-        calls: list[ToolCall] = []
-        for act in actions:
-            if act.tool == "level_opt":
-                calls.append(LevelOpt(act.target))
-            elif act.tool == "fanout_opt":
-                assert act.consumer is not None
-                calls.append(FanoutOpt(act.target, act.consumer))
-            elif act.tool == "node_clone":
-                calls.append(NodeClone(act.target))
-            else:
-                raise PolicyError(f"unknown tool {act.tool!r}")
-        calls.append(Finish2())
-        return cls(calls)
-
-    def decide(self, ctx: DecisionContext) -> ToolCall:
-        if ctx.feedback is not None and self._last is not None:
-            return self._last
-        if self._next >= len(self._calls):
-            return Finish1() if ctx.phase == 1 else Finish2()
-        call = self._calls[self._next]
-        self._next += 1
-        self._last = call
-        return call
+    def decide(self, ctx: DecisionContext) -> Action:
+        if ctx.feedback is None or self._last is None:
+            self._last = next(self._actions, None)
+        return self._last or Action(f"finish{ctx.phase}")
 
 
 # -- remote policy --------------------------------------------------------------
@@ -710,18 +612,23 @@ class RemoteEndpoint:
     @classmethod
     def from_config(cls, path: str) -> RemoteEndpoint:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise PolicyError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        base = data.get("base_url") if isinstance(data, dict) else None
+        if not isinstance(base, str):
+            raise PolicyError(f"{path}: base_url must be a string")
         try:
-            base = data["base_url"]
-        except KeyError as exc:
-            raise PolicyError(f"{path}: missing base_url") from exc
-        return cls(
-            base_url=base,
-            api_key=data.get("api_key", ""),
-            model=data.get("model", "default"),
-            timeout=float(data.get("timeout", 60.0)),
-            temperature=float(data.get("temperature", 0.0)),
-        )
+            return cls(
+                base_url=base,
+                api_key=data.get("api_key", ""),
+                model=data.get("model", "default"),
+                timeout=float(data.get("timeout", 60.0)),
+                temperature=float(data.get("temperature", 0.0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise PolicyError(f"{path}: {exc}") from exc
 
 
 def _strip_think(text: str) -> str:
@@ -749,9 +656,6 @@ def _first_json_object(text: str) -> dict:
     raise PolicyError("no JSON object in response")
 
 
-Transport = Callable[[list[dict]], str]
-
-
 class RemoteLlmPolicy:
     """Asks a remote chat model for each decision.
 
@@ -762,40 +666,37 @@ class RemoteLlmPolicy:
     trace.
     """
 
-    def __init__(self, endpoint: RemoteEndpoint, transport: Transport | None = None) -> None:
+    def __init__(
+        self, endpoint: RemoteEndpoint, transport: Callable[[list[dict]], str] | None = None
+    ) -> None:
         self.endpoint = endpoint
         self._transport = transport or self._http_transport
 
     def _http_transport(self, messages: list[dict]) -> str:
-        import requests
+        import http.client
+        import urllib.request
 
         url = self.endpoint.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
         if self.endpoint.api_key:
             headers["Authorization"] = f"Bearer {self.endpoint.api_key}"
+        body = {"model": self.endpoint.model, "messages": messages,
+                "temperature": self.endpoint.temperature}
         try:
-            resp = requests.post(
-                url,
-                headers=headers,
-                json={
-                    "model": self.endpoint.model,
-                    "messages": messages,
-                    "temperature": self.endpoint.temperature,
-                },
-                timeout=self.endpoint.timeout,
-            )
-            resp.raise_for_status()
-            payload = resp.json()
-        except requests.RequestException as exc:
+            data = json.dumps(body).encode("utf-8")
+            request = urllib.request.Request(url, data=data, headers=headers)
+            with urllib.request.urlopen(request, timeout=self.endpoint.timeout) as resp:
+                payload = json.loads(resp.read())
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            # URLError and HTTPError are OSErrors; a bad URL or body is a ValueError.
             raise PolicyError(f"endpoint failure: {exc}") from exc
         try:
             return payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise PolicyError(f"malformed completion payload: {payload!r}") from exc
 
-    def decide(self, ctx: DecisionContext) -> ToolCall:
+    def decide(self, ctx: DecisionContext) -> Action:
         build = build_phase1_prompt if ctx.phase == 1 else build_phase2_prompt
-        legal = PHASE1_TOOLS if ctx.phase == 1 else PHASE2_TOOLS
         messages = [
             {"role": "system", "content": system_prompt(ctx.phase)},
             {"role": "user", "content": build(ctx)},
@@ -804,12 +705,10 @@ class RemoteLlmPolicy:
         for _ in range(RETRY_BUDGET):
             content = self._transport(messages)
             try:
-                call = from_record(_first_json_object(_strip_think(content)))
-                if not isinstance(call, legal):
-                    raise PolicyError(
-                        f"{type(call).__name__} is not legal in phase {ctx.phase}"
-                    )
-                return call
+                action = Action.from_json(_first_json_object(_strip_think(content)))
+                if action.phase != ctx.phase:
+                    raise PolicyError(f"{action.tool} is not legal in phase {ctx.phase}")
+                return action
             except PolicyError as exc:
                 last_error = str(exc)
                 messages = messages + [

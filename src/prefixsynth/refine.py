@@ -13,9 +13,7 @@ fanout against each other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import Node, PrefixGraph, parse_node_token
+from .graph import Node, PrefixGraph
 
 __all__ = [
     "RefinementError",
@@ -23,10 +21,6 @@ __all__ = [
     "fanout_opt",
     "node_clone",
     "prune_dead",
-    "RefineAction",
-    "apply_action",
-    "parse_action",
-    "parse_action_log",
 ]
 
 
@@ -182,62 +176,3 @@ def prune_dead(graph: PrefixGraph) -> PrefixGraph:
             nodes.discard(n)
             del parents[n]
     return PrefixGraph(graph.width, parents, nodes)
-
-
-@dataclass(frozen=True)
-class RefineAction:
-    """One refinement step: a tool name, its target, and (for
-    :func:`fanout_opt`) the consumer being moved."""
-
-    tool: str
-    target: Node
-    consumer: Node | None = None
-
-    def render(self) -> str:
-        if self.consumer is not None:
-            return f"{self.tool} {self.target.token()} {self.consumer.token()}"
-        return f"{self.tool} {self.target.token()}"
-
-
-_TOOLS = {"level_opt": 1, "fanout_opt": 2, "node_clone": 1}
-
-
-def apply_action(graph: PrefixGraph, action: RefineAction) -> PrefixGraph:
-    if action.tool == "level_opt":
-        return level_opt(graph, action.target)
-    if action.tool == "fanout_opt":
-        if action.consumer is None:
-            raise RefinementError("fanout_opt needs a consumer operand")
-        return fanout_opt(graph, action.target, action.consumer)
-    if action.tool == "node_clone":
-        return node_clone(graph, action.target)
-    raise RefinementError(f"unknown tool {action.tool!r}")
-
-
-def parse_action(line: str) -> RefineAction:
-    parts = line.split()
-    if not parts or parts[0] not in _TOOLS:
-        raise RefinementError(f"unknown action line: {line!r}")
-    tool = parts[0]
-    arity = _TOOLS[tool]
-    if len(parts) != arity + 1:
-        raise RefinementError(
-            f"{tool} takes {arity} operand(s), got {len(parts) - 1}"
-        )
-    target = parse_node_token(parts[1])
-    consumer = parse_node_token(parts[2]) if arity == 2 else None
-    return RefineAction(tool, target, consumer)
-
-
-def parse_action_log(text: str) -> list[RefineAction]:
-    """Parse an action log; blank lines and ``#`` comments are skipped and a
-    ``finish`` line ends the log."""
-    actions: list[RefineAction] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.split()[0] in ("finish", "finish1", "finish2"):
-            break
-        actions.append(parse_action(line))
-    return actions

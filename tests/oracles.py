@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 from prefixsynth.backbone import regroup
 from prefixsynth.graph import Node, PrefixGraph
 from prefixsynth.lang import BackboneExpr, Group, Leaf
-from prefixsynth.policy import DecisionContext, Finish1, Regroup, ToolCall
+from prefixsynth.policy import Action, DecisionContext
 from prefixsynth.timing import backbone_cost
 
 Shape = "int | tuple"
@@ -262,7 +262,7 @@ def assert_graph_adds_random(graph: PrefixGraph, lanes: int, seed: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def greedy_decide_ref(ctx: DecisionContext) -> ToolCall:
+def greedy_decide_ref(ctx: DecisionContext) -> Action:
     """The greedy backbone decision computed the direct way: apply each
     candidate regroup and cost the whole resulting backbone.
 
@@ -273,14 +273,14 @@ def greedy_decide_ref(ctx: DecisionContext) -> ToolCall:
     assert bb is not None
     current = backbone_cost(bb, ctx.profile, ctx.model)
     if ctx.target is not None and current <= ctx.target:
-        return Finish1()
+        return Action("finish1")
     best: tuple[float, int] | None = None
-    best_call: ToolCall = Finish1()
+    best_call = Action("finish1")
     for i, (a, b) in enumerate(ctx.candidates):
         cost = backbone_cost(regroup(bb, a, b), ctx.profile, ctx.model)
         if best is None or (cost, i) < best:
             best = (cost, i)
-            best_call = Regroup(a, b)
+            best_call = Action("regroup", (a, b))
     if best is None or best[0] >= current:
-        return Finish1()
+        return Action("finish1")
     return best_call

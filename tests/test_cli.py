@@ -264,3 +264,58 @@ def test_bad_target_is_config_error(
     assert rc == 1
     assert "--target must be a finite delay >= 0" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "kind,content,line",
+    [
+        ("script", "regroup 3 3 2 2\nregroup 1 2\n", 2),
+        ("script", "regroup 3 3 2 2\nfinish1\n# note\nlevel_opt (3,x)\n", 4),
+        ("script", "regroup 3 3 2 2\nfinish1\nlevel_opt (7,0)\nregroup 5 5 4 4\n", 4),
+        ("script", "level_opt (7,0)\nregroup 3 3 2 2\n", 2),
+        ("profile", "0, 0.0\n1 0.1\n", 2),
+        ("remote", "{not json\n", 1),
+        ("remote", '{"base_url": 5}\n', None),
+    ],
+    ids=[
+        "script-phase1-line", "script-phase2-token", "script-regroup-after-edit",
+        "script-regroup-without-finish1", "profile-line", "remote-not-json",
+        "remote-base-url-not-string",
+    ],
+)
+def test_bad_input_file_is_located_config_error(
+    kind: str, content: str, line: int | None, tmp_path: Path, capsys
+) -> None:
+    path = tmp_path / "input.txt"
+    path.write_text(content)
+    option = {
+        "script": ["--policy", f"scripted:{path}"],
+        "profile": ["--profile", str(path)],
+        "remote": ["--policy", f"remote:{path}"],
+    }[kind]
+    rc = run_cli("synthesize", "--bits", "8", *option, "--out", str(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    location = str(path) if line is None else f"{path}:{line}"
+    assert err.startswith(f"synthesize: {location}: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind", ["profile", "script", "design"])
+def test_undecodable_input_file_is_config_error(kind: str, tmp_path: Path, capsys) -> None:
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe0, 0.1\n")
+    argv = {
+        "profile": ["synthesize", "--bits", "4", "--profile", str(path)],
+        "script": ["synthesize", "--bits", "4", "--policy", f"scripted:{path}"],
+        "design": ["verify", str(path)],
+    }[kind]
+    if kind != "design":
+        argv += ["--out", str(tmp_path / "run")]
+    rc = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,11 @@ from prefixsynth.dataio import (
     simulate_verilog,
     synthesize_samples,
 )
-from prefixsynth.esat import RegroupTrace, derive_trace
+from prefixsynth import dataio, policy
+from prefixsynth.esat import derive_trace
 from prefixsynth.graph import Node
 from prefixsynth.lang import expr_to_backbone
+from prefixsynth.policy import Action, RegroupTrace
 from prefixsynth.structures import brent_kung_graph, kogge_stone_graph, sklansky_graph
 from prefixsynth.timing import ArrivalProfile, DelayModel, SweepRow
 
@@ -61,12 +64,38 @@ def test_sample_turns_carry_fresh_feedback() -> None:
 
 def test_synthesize_samples_diagnostics() -> None:
     bad_width = RegroupTrace(6, _trace8().steps)
-    illegal = RegroupTrace(8, ((Node(9, 9), Node(8, 8)),))
+    illegal = RegroupTrace(8, (Action("regroup", (Node(9, 9), Node(8, 8))),))
     samples, diagnostics = synthesize_samples(
         [bad_width, illegal, _trace8()], 8, ArrivalProfile.uniform(8)
     )
     assert len(samples) == 1
     assert len(diagnostics) == 2
+
+
+def test_synthesize_samples_renders_each_backbone_once(monkeypatch) -> None:
+    calls = {"to_timed_sexpr": 0, "find_candidates": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(policy, "to_timed_sexpr")
+    counted(dataio, "find_candidates")
+    rng = random.Random(5)
+    traces = [_trace8(), RegroupTrace(8, ())] + [
+        derive_trace(expr_to_backbone(shape_to_expr(random_shape(7, 0, rng))))
+        for _ in range(4)
+    ]
+    samples, _ = synthesize_samples(traces, 8, ArrivalProfile.uniform(8))
+    # every trace visits the serial start plus one backbone per step
+    backbones = sum(len(trace.steps) + 1 for trace in traces)
+    assert len(samples) == len(traces)
+    assert calls == {"to_timed_sexpr": backbones, "find_candidates": backbones}
 
 
 def test_emit_parse_round_trip() -> None:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from prefixsynth.backbone import balanced_backbone, complete, init_serial
 from prefixsynth.esat import (
-    RegroupTrace,
-    TraceError,
     catalan,
     count_trees,
     derive_trace,
@@ -21,6 +19,7 @@ from prefixsynth.esat import (
 )
 from prefixsynth.graph import Node
 from prefixsynth.lang import backbone_to_expr, expr_to_backbone, text_to_expr
+from prefixsynth.policy import Action, PolicyError, RegroupTrace, parse_script
 from prefixsynth.timing import ArrivalProfile, DelayModel, backbone_cost
 
 from oracles import (
@@ -137,7 +136,7 @@ def test_design_space_magnitudes() -> None:
 def test_derive_trace_balanced_eight() -> None:
     trace = derive_trace(balanced_backbone(8))
     assert len(trace.steps) == 4
-    assert trace.steps[-1] == (Node(7, 6), Node(5, 4))
+    assert trace.steps[-1] == Action("regroup", (Node(7, 6), Node(5, 4)))
     assert trace.replay().nodes == balanced_backbone(8).nodes
 
 
@@ -160,20 +159,19 @@ def test_derive_trace_random_targets(width: int, rng) -> None:
 
 def test_trace_text_round_trip() -> None:
     trace = derive_trace(balanced_backbone(8))
-    text = trace.to_text()
+    text = "".join(step.to_line() + "\n" for step in trace.steps)
     assert text.splitlines()[-1] == "regroup 7 6 5 4"
-    again = RegroupTrace.from_text(8, text)
-    assert again == trace
-    with pytest.raises(TraceError):
-        RegroupTrace.from_text(8, "regroup 1 2\n")
-    with pytest.raises(TraceError):
-        RegroupTrace.from_text(8, "rotate 1 1 0 0\n")
+    steps, _ = parse_script(text)
+    assert RegroupTrace(8, steps) == trace
+    with pytest.raises(PolicyError):
+        parse_script("regroup 1 2\n")
+    with pytest.raises(PolicyError):
+        parse_script("rotate 1 1 0 0\n")
 
 
 def test_trace_text_stops_at_finish() -> None:
-    text = "regroup 3 3 2 2\nfinish1\nregroup 9 9 8 8\n"
-    trace = RegroupTrace.from_text(4, text)
-    assert trace.steps == ((Node(3, 3), Node(2, 2)),)
+    text = "regroup 3 3 2 2\nfinish2\nregroup 9 9 8 8\n"
+    assert parse_script(text) == ((Action("regroup", (Node(3, 3), Node(2, 2))),), ())
 
 
 def test_filter_low_deficiency_threshold_zero() -> None:

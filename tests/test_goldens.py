@@ -141,11 +141,13 @@ def test_scripted_synthesize_digests(bits: int, profile: str, tmp_path: Path) ->
     assert got == {k: GOLDENS[k] for k in got}
 
 
-@pytest.mark.parametrize("bits", [16, 32])
-def test_greedy_trace_replays_as_script(bits: int, tmp_path: Path) -> None:
-    argv = ["synthesize", "--bits", str(bits), "--max-iters", "64"]
+# With 4 iterations phase 1 stops before finish1, so trace.txt has none.
+@pytest.mark.parametrize("bits,max_iters", [(16, 64), (32, 64), (16, 4)])
+def test_greedy_trace_replays_as_script(bits: int, max_iters: int, tmp_path: Path) -> None:
+    argv = ["synthesize", "--bits", str(bits), "--max-iters", str(max_iters)]
     _run(argv, tmp_path / "greedy")
     trace = tmp_path / "greedy" / "trace.txt"
+    assert ("finish1" in trace.read_text()) == (max_iters == 64)
     _run(argv + ["--policy", f"scripted:{trace}"], tmp_path / "replay")
     for name in ("design.epr", "trace.txt"):
         replayed = (tmp_path / "replay" / name).read_bytes()

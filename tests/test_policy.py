@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import urllib.error
+import urllib.request
 
 import pytest
 from hypothesis import given, settings
@@ -21,27 +24,21 @@ from prefixsynth.esat import derive_trace, extract_optimal, saturate
 from prefixsynth.graph import Node
 from prefixsynth.lang import backbone_to_expr
 from prefixsynth.policy import (
+    Action,
     CriticalPathRefinePolicy,
     DecisionContext,
-    FanoutOpt,
-    Finish1,
-    Finish2,
     GreedyBackbonePolicy,
-    LevelOpt,
-    NodeClone,
     PolicyAbort,
     PolicyError,
-    Regroup,
     RemoteEndpoint,
     RemoteLlmPolicy,
     ScriptedPolicy,
     build_phase1_prompt,
     build_phase2_prompt,
-    from_record,
+    parse_script,
     run_phase1,
     run_phase2,
     system_prompt,
-    to_record,
     tool_schemas,
 )
 from prefixsynth.timing import ArrivalProfile, DelayModel, backbone_cost, graph_arrivals
@@ -52,31 +49,96 @@ from prefixsynth.lang import expr_to_backbone
 MODEL = DelayModel()
 
 ALL_CALLS = [
-    Regroup(Node(3, 3), Node(2, 2)),
-    Finish1(),
-    LevelOpt(Node(3, 0)),
-    FanoutOpt(Node(1, 0), Node(3, 0)),
-    NodeClone(Node(3, 0, 1)),
-    Finish2(),
+    Action("regroup", (Node(3, 3), Node(2, 2))),
+    Action("finish1"),
+    Action("level_opt", (Node(3, 0),)),
+    Action("fanout_opt", (Node(1, 0), Node(3, 0))),
+    Action("node_clone", (Node(3, 0, 1),)),
+    Action("finish2"),
+]
+
+LINES = [
+    "regroup 3 3 2 2",
+    "finish1",
+    "level_opt (3,0)",
+    "fanout_opt (1,0) (3,0)",
+    "node_clone (3,0)#1",
+    "finish2",
 ]
 
 
-@pytest.mark.parametrize("call", ALL_CALLS, ids=lambda c: type(c).__name__)
+# Ids spell the tool in CamelCase: Regroup, Finish1, LevelOpt, ...
+@pytest.mark.parametrize(
+    "call", ALL_CALLS, ids=lambda c: c.tool.title().replace("_", "")
+)
 def test_tool_record_round_trip(call) -> None:
-    rec = to_record(call)
-    assert from_record(rec) == call
-    assert from_record(json.loads(json.dumps(rec))) == call
+    rec = call.to_json()
+    assert Action.from_json(rec) == call
+    assert Action.from_json(json.loads(json.dumps(rec))) == call
+    line = LINES[ALL_CALLS.index(call)]
+    assert call.to_line() == line
+    assert Action.from_line(line) == call
 
 
 def test_from_record_rejects_garbage() -> None:
     with pytest.raises(PolicyError):
-        from_record({"tool": "merge", "args": {}})
+        Action.from_json({"tool": "merge", "args": {}})
     with pytest.raises(PolicyError):
-        from_record({"args": {}})
+        Action.from_json({"args": {}})
     with pytest.raises(PolicyError):
-        from_record("finish1")
+        Action.from_json("finish1")
     with pytest.raises(PolicyError):
-        from_record({"tool": "regroup", "args": {"a": "(3,3)"}})
+        Action.from_json({"tool": "regroup", "args": {"a": "(3,3)"}})
+    with pytest.raises(PolicyError):
+        Action.from_json({"tool": "level_opt", "args": {"target": "(3,x)"}})
+    for line in ("merge (3,0)", "regroup 3 3 2", "regroup 3 3 2 x", "level_opt",
+                 "fanout_opt (1,0)", "node_clone (3,x)", "finish1 (3,0)"):
+        with pytest.raises(PolicyError):
+            Action.from_line(line)
+
+
+def test_parse_script_assigns_lines_to_phases() -> None:
+    text = (
+        "# a comment\n"
+        "regroup 3 3 2 2\n"
+        "\n"
+        "  # an indented comment\n"
+        "finish1\n"
+        "level_opt (3,0)\n"
+        "finish\n"
+        "anything after the end is ignored\n"
+    )
+    assert parse_script(text) == (
+        (Action("regroup", (Node(3, 3), Node(2, 2))),),
+        (Action("level_opt", (Node(3, 0),)),),
+    )
+    # a phase-2 line also ends phase 1, as in a trace.txt whose phase 1 ran
+    # out of iterations
+    assert parse_script("regroup 3 3 2 2\nnode_clone (1,0)\n") == (
+        (Action("regroup", (Node(3, 3), Node(2, 2))),),
+        (Action("node_clone", (Node(1, 0),)),),
+    )
+    assert parse_script("") == ((), ())
+    # once phase 2 has begun, any finish line ends the script
+    assert parse_script("finish1\nlevel_opt (3,0)\nfinish1\nnode_clone (1,0)\n") == (
+        (),
+        (Action("level_opt", (Node(3, 0),)),),
+    )
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("regroup 3 3 2 2\nregroup 1 2\n", "line 2: expected 'regroup"),
+        ("finish1\n\n# note\nlevel_opt (3,x)\n", "line 4: bad node token"),
+        ("finish1\nregroup 3 3 2 2\n", "line 2: regroup after phase 2 began"),
+        ("level_opt (3,0)\nregroup 3 3 2 2\n", "line 2: regroup after phase 2 began"),
+        ("finish1\nmerge (3,0)\n", "line 2: unknown tool 'merge'"),
+    ],
+)
+def test_parse_script_errors_name_the_line(text: str, message: str) -> None:
+    with pytest.raises(PolicyError, match="^" + re.escape(message)):
+        parse_script(text)
 
 
 def test_tool_schemas_phase_split() -> None:
@@ -146,7 +208,7 @@ def test_run_phase1_scripted_reproduces_figure() -> None:
     trace = derive_trace(balanced_backbone(8))
     result = run_phase1(
         8, ArrivalProfile.uniform(8), None, 16,
-        ScriptedPolicy.from_trace(trace),
+        ScriptedPolicy(trace.steps),
     )
     assert result.finished
     assert Node(7, 4) in result.backbone.nodes
@@ -274,9 +336,8 @@ def test_run_phase1_respects_iteration_bound() -> None:
             nonlocal calls
             calls += 1
             if ctx.candidates:
-                a, b = ctx.candidates[0]
-                return Regroup(a, b)
-            return Finish1()
+                return Action("regroup", ctx.candidates[0])
+            return Action("finish1")
 
     result = run_phase1(16, ArrivalProfile.uniform(16), None, 3, Counting())
     assert calls == 3
@@ -286,7 +347,7 @@ def test_run_phase1_respects_iteration_bound() -> None:
 
 def test_run_phase1_aborts_on_persistent_illegal_call() -> None:
     # a scripted stale candidate is re-issued until the strike budget trips
-    policy = ScriptedPolicy([Regroup(Node(9, 9), Node(8, 8))])
+    policy = ScriptedPolicy([Action("regroup", (Node(9, 9), Node(8, 8)))])
     with pytest.raises(PolicyAbort) as exc_info:
         run_phase1(4, ArrivalProfile.uniform(4), None, 8, policy)
     partial = exc_info.value.partial
@@ -295,7 +356,7 @@ def test_run_phase1_aborts_on_persistent_illegal_call() -> None:
 
 
 def test_run_phase1_rejects_phase2_call() -> None:
-    policy = ScriptedPolicy([LevelOpt(Node(3, 0))])
+    policy = ScriptedPolicy([Action("level_opt", (Node(3, 0),))])
     with pytest.raises(PolicyAbort):
         run_phase1(4, ArrivalProfile.uniform(4), None, 8, policy)
 
@@ -317,11 +378,8 @@ def test_run_phase2_serial_sixteen_tight_target() -> None:
     before = graph_arrivals(g, profile, MODEL).delay
     result = run_phase2(g, 0.3, 64, CriticalPathRefinePolicy(), profile)
     assert result.actions
-    assert result.actions[0].tool == "level_opt"
-    assert result.actions[0].target == Node(15, 0)
-    one = run_phase2(
-        g, 0.3, 1, ScriptedPolicy.from_actions(result.actions[:1]), profile
-    )
+    assert result.actions[0] == Action("level_opt", (Node(15, 0),))
+    one = run_phase2(g, 0.3, 1, ScriptedPolicy(result.actions[:1]), profile)
     after = graph_arrivals(one.graph, profile, MODEL).delay
     assert after < before
     final = graph_arrivals(result.graph, profile, MODEL).delay
@@ -339,7 +397,7 @@ def test_run_phase2_forced_finish_when_no_tool_applies() -> None:
 
 def test_run_phase2_abort_on_scripted_illegal_action() -> None:
     g = complete(init_serial(4))
-    policy = ScriptedPolicy([NodeClone(Node(1, 0))])  # fanout 1: rejected
+    policy = ScriptedPolicy([Action("node_clone", (Node(1, 0),))])  # fanout 1: rejected
     with pytest.raises(PolicyAbort) as exc_info:
         run_phase2(g, 0.0, 8, policy, ArrivalProfile.uniform(4))
     assert exc_info.value.partial.actions == ()
@@ -360,7 +418,7 @@ def test_scripted_trace_replay_is_exact(width: int, rng) -> None:
     trace = derive_trace(target)
     result = run_phase1(
         width, ArrivalProfile.uniform(width), None, len(trace.steps) + 1,
-        ScriptedPolicy.from_trace(trace),
+        ScriptedPolicy(trace.steps),
     )
     assert result.backbone.nodes == target.nodes
 
@@ -381,7 +439,7 @@ def test_remote_policy_parses_tool_call() -> None:
         )
 
     policy = RemoteLlmPolicy(RemoteEndpoint("http://unused"), transport)
-    assert policy.decide(_ctx_for_remote()) == Finish1()
+    assert policy.decide(_ctx_for_remote()) == Action("finish1")
 
 
 def test_remote_policy_corrective_reprompt() -> None:
@@ -400,7 +458,7 @@ def test_remote_policy_corrective_reprompt() -> None:
 
     policy = RemoteLlmPolicy(RemoteEndpoint("http://unused"), transport)
     call = policy.decide(_ctx_for_remote())
-    assert call == Regroup(Node(3, 2), Node(1, 1))
+    assert call == Action("regroup", (Node(3, 2), Node(1, 1)))
     assert len(seen) == 3
     # each retry appends the rejected reply and a corrective user message
     assert seen[1][-1]["role"] == "user"
@@ -441,3 +499,62 @@ def test_remote_endpoint_configuration(tmp_path, monkeypatch) -> None:
     ep2 = RemoteEndpoint.from_config(str(cfg))
     assert ep2.base_url == "http://file.test"
     assert ep2.timeout == 5
+
+
+class _Reply:
+    """Stands in for the response object ``urlopen`` returns."""
+
+    def __init__(self, body: bytes) -> None:
+        self._body = body
+
+    def __enter__(self) -> _Reply:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def read(self) -> bytes:
+        return self._body
+
+
+def _http_policy() -> RemoteLlmPolicy:
+    return RemoteLlmPolicy(RemoteEndpoint("http://endpoint.test/v1/", api_key="k"))
+
+
+def test_http_transport_posts_chat_completion(monkeypatch) -> None:
+    seen = {}
+
+    def urlopen(request, timeout):
+        seen.update(url=request.full_url, method=request.get_method(), timeout=timeout,
+                    auth=request.get_header("Authorization"), body=json.loads(request.data))
+        return _Reply(b'{"choices": [{"message": {"content": "hello"}}]}')
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    messages = [{"role": "user", "content": "hi"}]
+    assert _http_policy()._http_transport(messages) == "hello"
+    assert seen == {
+        "url": "http://endpoint.test/v1/chat/completions",
+        "method": "POST",
+        "timeout": 60.0,
+        "auth": "Bearer k",
+        "body": {"model": "default", "messages": messages, "temperature": 0.0},
+    }
+
+
+def _http_error(request, timeout):
+    raise urllib.error.HTTPError(request.full_url, 503, "Service Unavailable", None, None)
+
+
+@pytest.mark.parametrize(
+    "urlopen,message",
+    [
+        (_http_error, "endpoint failure: HTTP Error 503"),
+        (lambda request, timeout: _Reply(b"<html>"), "endpoint failure: "),
+        (lambda request, timeout: _Reply(b'{"choices": []}'), "malformed completion payload"),
+    ],
+    ids=["http-error", "not-json", "malformed-payload"],
+)
+def test_http_transport_failures_are_policy_errors(monkeypatch, urlopen, message) -> None:
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(PolicyError, match="^" + re.escape(message)):
+        _http_policy()._http_transport([{"role": "user", "content": "hi"}])

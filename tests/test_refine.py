@@ -11,18 +11,22 @@ from hypothesis import strategies as st
 from prefixsynth.backbone import balanced_backbone, complete, init_serial
 from prefixsynth.graph import Node, simulate, validate
 from prefixsynth.lang import expr_to_backbone
+from prefixsynth.policy import (
+    Action,
+    PolicyError,
+    ScriptedPolicy,
+    parse_script,
+    run_phase2,
+)
 from prefixsynth.refine import (
-    RefineAction,
     RefinementError,
-    apply_action,
     fanout_opt,
     level_opt,
     node_clone,
-    parse_action,
-    parse_action_log,
     prune_dead,
 )
 from prefixsynth.structures import sklansky_graph
+from prefixsynth.timing import ArrivalProfile
 
 from oracles import (
     assert_graph_adds_exhaustive,
@@ -135,27 +139,27 @@ def test_prune_dead_removes_unused_nodes() -> None:
 
 
 def test_action_log_round_trip() -> None:
-    actions = [
-        RefineAction("level_opt", Node(3, 0)),
-        RefineAction("fanout_opt", Node(1, 0), Node(3, 0)),
-        RefineAction("node_clone", Node(3, 0)),
-    ]
-    lines = [a.render() for a in actions]
+    actions = (
+        Action("level_opt", (Node(3, 0),)),
+        Action("fanout_opt", (Node(1, 0), Node(3, 0))),
+        Action("node_clone", (Node(3, 0),)),
+    )
+    lines = [a.to_line() for a in actions]
     assert lines[0] == "level_opt (3,0)"
     assert lines[1] == "fanout_opt (1,0) (3,0)"
-    parsed = parse_action_log("\n".join(lines))
-    assert parsed == actions
-    assert parse_action("level_opt (3,0)") == actions[0]
-    with pytest.raises(RefinementError):
-        parse_action("melt (3,0)")
-    with pytest.raises(RefinementError):
-        parse_action("fanout_opt (1,0)")  # consumer required
+    assert parse_script("\n".join(lines)) == ((), actions)
+    assert Action.from_line("level_opt (3,0)") == actions[0]
+    with pytest.raises(PolicyError):
+        Action.from_line("melt (3,0)")
+    with pytest.raises(PolicyError):
+        Action.from_line("fanout_opt (1,0)")  # consumer required
 
 
 def test_apply_action_dispatch() -> None:
     g = complete(init_serial(4))
-    g2 = apply_action(g, RefineAction("level_opt", Node(3, 0)))
-    assert g2.level(Node(3, 0)) == 2
+    policy = ScriptedPolicy([Action("level_opt", (Node(3, 0),))])
+    result = run_phase2(g, 0.0, 1, policy, ArrivalProfile.uniform(4))
+    assert result.graph.level(Node(3, 0)) == 2
 
 
 @given(st.integers(4, 10), st.randoms(use_true_random=False))
