@@ -28,7 +28,7 @@ GOLDENS = json.loads(GOLDENS_PATH.read_text())
 
 PROFILES = ("uniform", "lsb-first", "random")
 
-DATAGEN_JOBS = [(bits, profile) for bits in (16, 32) for profile in PROFILES]
+DATAGEN_JOBS = [(bits, profile) for bits in (8, 16, 32, 48) for profile in PROFILES]
 
 # 0.9x, 1.0x and 1.3x the Sklansky delay of each (width, profile) at seed 1.
 TARGETS = {
