@@ -19,7 +19,6 @@ from prefixsynth.esat import (
     extract_optimal,
     saturate,
 )
-from prefixsynth.lang import backbone_to_expr
 from prefixsynth.timing import ArrivalProfile, DelayModel, backbone_cost
 
 
@@ -28,7 +27,7 @@ def main() -> None:
 
     print("Trees reachable by regrouping an N-bit serial backbone:")
     for width in range(3, 9):
-        eg = saturate(backbone_to_expr(init_serial(width)))
+        eg = saturate(init_serial(width))
         print(
             f"  N={width}: {count_trees(eg)} trees "
             f"(Catalan({width - 1}) = {catalan(width - 1)})"
@@ -42,7 +41,7 @@ def main() -> None:
 
     width = 12
     profile = ArrivalProfile.randomized(width, seed=3, high=0.15)
-    eg = saturate(backbone_to_expr(init_serial(width)))
+    eg = saturate(init_serial(width))
     best = extract_optimal(eg, profile, model)
     print(
         f"\nWidth {width}, skewed random arrivals:\n"

@@ -24,7 +24,6 @@ from prefixsynth.esat import (
     filter_low_deficiency,
     saturate,
 )
-from prefixsynth.lang import backbone_to_expr
 from prefixsynth.structures import brent_kung_graph
 from prefixsynth.timing import ArrivalProfile, DelayModel
 
@@ -35,7 +34,7 @@ def main() -> None:
     model = DelayModel()
     profile = ArrivalProfile.uniform(WIDTH)
 
-    eg = saturate(backbone_to_expr(init_serial(WIDTH)))
+    eg = saturate(init_serial(WIDTH))
     drawn = [
         extract_perturbed(eg, profile, model, seed=i, eps_scale=1.0)
         for i in range(16)
@@ -47,7 +46,7 @@ def main() -> None:
         f"{len(unique)} unique, {len(kept)} pass the deficiency filter"
     )
 
-    traces = [derive_trace(expr) for expr in kept]
+    traces = [derive_trace(bb) for bb in kept]
     samples, diagnostics = synthesize_samples(traces, WIDTH, profile, model)
     print(f"synthesized {len(samples)} samples, {len(diagnostics)} diagnostics")
 

@@ -46,22 +46,28 @@ class RegroupError(BackboneError):
 
 @dataclass(frozen=True)
 class Backbone:
-    """Immutable backbone: width plus the parent map of internal nodes."""
+    """Immutable backbone: width plus the parent map of internal nodes.
+
+    ``parents`` has the shape of :attr:`PrefixGraph.parents`; it is never
+    edited once the backbone is built.
+    """
 
     width: int
-    parents: tuple[tuple[Node, tuple[Node, Node]], ...]
+    parents: dict[Node, tuple[Node, Node]]
 
     @staticmethod
     def from_parents(
         width: int, parents: dict[Node, tuple[Node, Node]]
     ) -> Backbone:
-        items = tuple(sorted(parents.items()))
-        bb = Backbone(width, items)
+        bb = Backbone(width, dict(parents))
         bb._check()
         return bb
 
+    def __hash__(self) -> int:
+        return hash((self.width, frozenset(self.parents.items())))
+
     def _check(self) -> None:
-        parents = self.parent_map
+        parents = self.parents
         if self.width < 2:
             raise BackboneError(f"width must be >= 2, got {self.width}")
         if len(parents) != self.width - 1:
@@ -89,25 +95,12 @@ class Backbone:
                 raise BackboneError(f"{p.token()} consumed {count} times")
 
     @property
-    def parent_map(self) -> dict[Node, tuple[Node, Node]]:
-        return dict(self.parents)
-
-    @property
     def root(self) -> Node:
         return Node(self.width - 1, 0)
 
     @property
     def nodes(self) -> frozenset[Node]:
-        return frozenset(n for n, _ in self.parents)
-
-    def __contains__(self, node: Node) -> bool:
-        return any(n == node for n, _ in self.parents)
-
-    def up(self, node: Node) -> Node:
-        return self.parent_map[node][0]
-
-    def lp(self, node: Node) -> Node:
-        return self.parent_map[node][1]
+        return frozenset(self.parents)
 
     def ridge(self) -> list[Node]:
         """Ridge nodes from the root downward: the existing carry outputs."""
@@ -115,7 +108,7 @@ class Backbone:
         node = self.root
         while node.span > 1:
             out.append(node)
-            node = self.parent_map[node][1]
+            node = self.parents[node][1]
         return out
 
     @property
@@ -123,22 +116,13 @@ class Backbone:
         """Ridge length: how many carry outputs the tree already provides."""
         return len(self.ridge())
 
-    @property
-    def depth(self) -> int:
-        """Longest operand chain from a leaf to the root."""
-        depths: dict[Node, int] = {}
-        for node in sorted(self.nodes, key=lambda n: n.span):
-            up, lp = self.parent_map[node]
-            depths[node] = max(depths.get(up, 0), depths.get(lp, 0)) + 1
-        return depths[self.root]
-
     def stats(self) -> tuple[int, int]:
         """(size, level) of the backbone."""
         return (len(self.parents), self.level)
 
     def walk(self) -> Iterator[Node]:
         """Internal nodes, smallest spans first."""
-        return iter(sorted(self.nodes, key=lambda n: (n.span, n.lsb)))
+        return iter(sorted(self.parents, key=lambda n: (n.span, n.lsb)))
 
 
 def init_serial(width: int) -> Backbone:
@@ -179,7 +163,7 @@ def find_candidates(bb: Backbone) -> list[tuple[Node, Node]]:
     terminal leaf ``(0, 0)``.  Every returned pair satisfies the regroup
     preconditions against ``bb``.
     """
-    parents = bb.parent_map
+    parents = bb.parents
     out: list[tuple[Node, Node]] = []
     for i in range(bb.width - 1, 0, -1):
         ridge_node = Node(i, 0)
@@ -201,7 +185,7 @@ def regroup(bb: Backbone, a: Node, b: Node) -> Backbone:
     Raises :class:`RegroupError` (leaving ``bb`` untouched) when the pair
     does not describe a legal rotation.
     """
-    parents = bb.parent_map
+    parents = bb.parents
     if b.msb != a.lsb - 1:
         raise RegroupError(f"b.msb != a.lsb-1 for a={a.token()}, b={b.token()}")
     if a.lsb <= 0 or b.lsb <= 0:
@@ -220,11 +204,13 @@ def regroup(bb: Backbone, a: Node, b: Node) -> Backbone:
     if created in parents:
         raise RegroupError(f"{created.token()} already exists")
 
+    # The rotation keeps every tree invariant, so the result needs no check.
     rest = parents[removed][1]  # (b.lsb - 1, 0)
+    parents = dict(parents)
     del parents[removed]
     parents[created] = (a, b)
     parents[site] = (created, rest)
-    return Backbone.from_parents(bb.width, parents)
+    return Backbone(bb.width, parents)
 
 
 def complete(bb: Backbone) -> PrefixGraph:
@@ -235,9 +221,9 @@ def complete(bb: Backbone) -> PrefixGraph:
     ``i`` (minimal lsb, the column top), so exactly
     ``width - 1 - level`` nodes are inserted.
     """
-    parents: dict[Node, tuple[Node, Node]] = bb.parent_map
+    parents = dict(bb.parents)
     column_top: dict[int, Node] = {i: Node(i, i) for i in range(bb.width)}
-    for node in bb.nodes:
+    for node in bb.parents:
         top = column_top[node.msb]
         if node.lsb < top.lsb:
             column_top[node.msb] = node
@@ -254,7 +240,7 @@ def arrival_table(
 ) -> dict[Node, float]:
     """Arrival of every leaf and internal node: leaves arrive at their input
     time, every group at ``max(up, lp) + step``, smallest spans first."""
-    parents = bb.parent_map
+    parents = bb.parents
     arrivals: dict[Node, float] = {Node(i, i): profile[i] for i in range(bb.width)}
     for node in bb.walk():
         up, lp = parents[node]
@@ -272,7 +258,7 @@ def to_timed_sexpr(
     parentheses onto the final leaf.
     """
     arrivals = arrival_table(bb, profile, model)
-    parents = bb.parent_map
+    parents = bb.parents
     lines: list[str] = []
 
     def emit(node: Node, indent: int, suffix: str, is_root: bool) -> None:

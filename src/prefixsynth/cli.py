@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .backbone import complete
+from .backbone import complete, init_serial
 from .dataio import emit_report, emit_samples, emit_verilog, synthesize_samples
 from .epr import EprParseError, parse_epr, render_epr
 from .esat import derive_trace, extract_perturbed, filter_low_deficiency, saturate
@@ -27,7 +27,6 @@ from .graph import (
     random_addition_check,
     validate,
 )
-from .lang import backbone_to_expr
 from .policy import (
     Action,
     CriticalPathRefinePolicy,
@@ -50,7 +49,7 @@ from .structures import (
     serial_graph,
     sklansky_graph,
 )
-from .timing import ArrivalProfile, DelayModel, graph_arrivals, pareto_sweep
+from .timing import ArrivalProfile, DelayModel, SweepRow, graph_arrivals, pareto_sweep
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -127,8 +126,7 @@ def _resolve_profile(
     spec: str, width: int, model: DelayModel, seed: int
 ) -> ArrivalProfile:
     if os.path.isfile(spec):
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_input(spec, "profile")
         try:
             profile = ArrivalProfile.from_text(text)
         except ValueError as exc:
@@ -150,11 +148,7 @@ def _resolve_policies(cfg: RunConfig) -> tuple[Policy, Policy]:
         return GreedyBackbonePolicy(), CriticalPathRefinePolicy()
     if spec.startswith("scripted:"):
         path = spec.split(":", 1)[1]
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read script {path}: {exc}") from exc
+        text = _read_input(path, "script")
         try:
             phase1, phase2 = parse_script(text)
         except PolicyError as exc:
@@ -172,6 +166,18 @@ def _resolve_policies(cfg: RunConfig) -> tuple[Policy, Policy]:
         policy = RemoteLlmPolicy(endpoint)
         return policy, policy
     raise ConfigError(f"unknown policy {spec!r}")
+
+
+def _read_input(path: str, what: str) -> str:
+    """Text of an input file; one that cannot be read or is not UTF-8 is a
+    config error naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _located(path: str, exc: Exception) -> ConfigError:
@@ -244,18 +250,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         return 1
 
     timing = graph_arrivals(graph, cfg.profile, cfg.model, cfg.target)
-    from .graph import deficiency
-    from .timing import SweepRow
-
-    row = SweepRow(
-        target=cfg.target if cfg.target is not None else timing.delay,
-        area=timing.area,
-        delay=timing.delay,
-        slack=timing.slack if timing.slack is not None else 0.0,
-        size=graph.size,
-        level=graph.depth,
-        deficiency=deficiency(graph),
-    )
+    row = SweepRow.from_report(graph, timing)
     _write(out, "design.epr", render_epr(graph))
     _write(out, "design.v", emit_verilog(graph, style="plain"))
     _write(out, "trace.txt", _trace_text(p1, p2))
@@ -277,18 +272,16 @@ def cmd_datagen(args: argparse.Namespace) -> int:
     if args.threshold < 0:
         raise ConfigError("--threshold must be >= 0")
     out = cfg.out or "."
-    from .backbone import init_serial
-
-    exprs = []
+    shapes = []
     if args.samples:
-        egraph = saturate(backbone_to_expr(init_serial(cfg.width)))
-        exprs = [
+        egraph = saturate(init_serial(cfg.width))
+        shapes = [
             extract_perturbed(egraph, cfg.profile, cfg.model, cfg.seed + i, args.eps_scale)
             for i in range(args.samples)
         ]
-    unique = list(dict.fromkeys(exprs))
+    unique = list(dict.fromkeys(shapes))
     kept = filter_low_deficiency(unique, args.threshold)
-    traces = [derive_trace(e) for e in kept]
+    traces = [derive_trace(bb) for bb in kept]
     samples, diagnostics = synthesize_samples(
         traces, cfg.width, cfg.profile, cfg.model, cfg.target
     )
@@ -296,7 +289,7 @@ def cmd_datagen(args: argparse.Namespace) -> int:
     for diag in diagnostics:
         print(f"datagen: skipped {diag}", file=sys.stderr)
     print(
-        f"datagen: generated={len(exprs)} unique={len(unique)} "
+        f"datagen: generated={len(shapes)} unique={len(unique)} "
         f"kept={len(kept)} written={len(samples)} -> {path}"
     )
     return 0
@@ -340,8 +333,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     out = cfg.out or "."
     if args.input is not None:
-        with open(args.input, encoding="utf-8") as fh:
-            graph = parse_epr(fh.read())
+        graph = parse_epr(_read_input(args.input, "design"))
     else:
         builder = _STRUCTURES.get(args.structure)
         if builder is None:
@@ -354,8 +346,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.design, encoding="utf-8") as fh:
-        graph = parse_epr(fh.read())
+    graph = parse_epr(_read_input(args.design, "design"))
     report = validate(graph)
     if not report.ok:
         for v in report.violations:
@@ -436,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EprParseError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, EprParseError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

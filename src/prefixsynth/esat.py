@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .backbone import Backbone, complete, find_candidates, init_serial, regroup
 from .graph import Node
-from .lang import BackboneExpr, Group, Leaf, expr_to_backbone, expr_width
 from .policy import Action, RegroupTrace
 from .timing import ArrivalProfile, DelayModel
 
@@ -47,8 +46,6 @@ class EGraph:
     A class is a bit range ``(lo, hi)``; its group e-nodes are the split
     points ``k`` in :meth:`splits`.
     """
-
-    saturated = True
 
     def __init__(self, width: int) -> None:
         self.width = width
@@ -75,13 +72,13 @@ class EGraph:
         return range(lo + 1, hi + 1)
 
 
-def saturate(expr: BackboneExpr) -> EGraph:
-    """The e-graph of ``expr`` closed under associativity.
+def saturate(bb: Backbone) -> EGraph:
+    """The e-graph of ``bb`` closed under associativity.
 
     Every tree over the same bits has the same closure, so only the width
-    of ``expr`` matters.
+    of ``bb`` matters.
     """
-    return EGraph(expr_width(expr))
+    return EGraph(bb.width)
 
 
 def count_trees(eg: EGraph) -> int:
@@ -99,7 +96,7 @@ def _extract(
     profile: ArrivalProfile,
     model: DelayModel,
     noise: Iterator[float] | None,
-) -> BackboneExpr:
+) -> Backbone:
     """Min-cost DP over the ranges.  ``noise`` supplies one value per
     e-node, in class order and then split order, added to that e-node's
     cost.  Ties prefer the cheaper high operand, then the smaller split."""
@@ -123,18 +120,21 @@ def _extract(
                 chosen = (cost, high, k)
         best_cost[lo, hi], _, best_split[lo, hi] = chosen
 
-    def build(lo: int, hi: int) -> BackboneExpr:
-        if lo == hi:
-            return Leaf(lo)
-        k = best_split[lo, hi]
-        return Group(low=build(lo, k - 1), high=build(k, hi))
+    parents: dict[Node, tuple[Node, Node]] = {}
 
-    return build(*eg.root)
+    def build(lo: int, hi: int) -> Node:
+        if lo < hi:
+            k = best_split[lo, hi]
+            parents[Node(hi, lo)] = (build(k, hi), build(lo, k - 1))
+        return Node(hi, lo)
+
+    build(*eg.root)
+    return Backbone(eg.width, parents)
 
 
 def extract_optimal(
     eg: EGraph, profile: ArrivalProfile, model: DelayModel
-) -> BackboneExpr:
+) -> Backbone:
     """Minimum-cost tree under the backbone cost model.
 
     Ties prefer the candidate whose higher-significance operand is cheaper,
@@ -149,7 +149,7 @@ def extract_perturbed(
     model: DelayModel,
     seed: int,
     eps_scale: float = 1.0,
-) -> BackboneExpr:
+) -> Backbone:
     """Extraction with seeded per-e-node noise in ``[0, eps_scale * step]``.
 
     ``eps_scale=0`` reproduces :func:`extract_optimal` exactly.
@@ -166,19 +166,18 @@ class TraceError(Exception):
     """No regroup schedule reaches the requested backbone."""
 
 
-def derive_trace(target: Union[BackboneExpr, Backbone]) -> RegroupTrace:
+def derive_trace(target: Backbone) -> RegroupTrace:
     """Compute a regroup schedule that rebuilds ``target`` from the serial
     backbone.
 
     Greedy: at every step apply the lowest-column candidate whose created
     node belongs to the target and whose removed ridge node does not.
     """
-    bb_target = target if isinstance(target, Backbone) else expr_to_backbone(target)
-    wanted = bb_target.nodes
-    bb = init_serial(bb_target.width)
+    wanted = target.nodes
+    bb = init_serial(target.width)
     steps: list[Action] = []
     limit = len(wanted - bb.nodes)
-    while bb != bb_target:
+    while bb != target:
         applicable = [
             (a, b)
             for a, b in find_candidates(bb)
@@ -191,23 +190,20 @@ def derive_trace(target: Union[BackboneExpr, Backbone]) -> RegroupTrace:
         a, b = min(applicable, key=lambda ab: (ab[0].msb, ab[1].msb))
         bb = regroup(bb, a, b)
         steps.append(Action("regroup", (a, b)))
-    return RegroupTrace(bb_target.width, tuple(steps))
+    return RegroupTrace(target.width, tuple(steps))
 
 
 def filter_low_deficiency(
-    candidates: Iterable[BackboneExpr], threshold: int = 0
-) -> list[BackboneExpr]:
+    candidates: Iterable[Backbone], threshold: int = 0
+) -> list[Backbone]:
     """Keep shapes whose completed adder stays within ``threshold`` levels
     of the backbone level (threshold 0 keeps exactly the zero-deficiency
     completions)."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    kept: list[BackboneExpr] = []
-    for expr in candidates:
-        bb = expr_to_backbone(expr)
-        if complete(bb).depth - bb.level <= threshold:
-            kept.append(expr)
-    return kept
+    return [
+        bb for bb in candidates if complete(bb).depth - bb.level <= threshold
+    ]
 
 
 def catalan(n: int) -> int:

@@ -1,99 +1,57 @@
-"""BackboneLang: the tiny term language for backbone shapes.
+"""BackboneLang: the text form of backbone shapes.
 
 Terms are ``i<k>`` leaves and the binary ``o`` operator, written lower
 significance first, e.g. the serial 4-bit backbone is::
 
     (o (o (o i0 i1) i2) i3)
 
-Expressions convert losslessly to and from :class:`~prefixsynth.backbone.Backbone`
+The text converts losslessly to and from :class:`~prefixsynth.backbone.Backbone`
 (which stores the same tree with higher-significance operands first).
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
 
 from .backbone import Backbone, BackboneError
 from .graph import Node
 
-__all__ = [
-    "Leaf",
-    "Group",
-    "BackboneExpr",
-    "LangError",
-    "expr_range",
-    "expr_width",
-    "expr_to_text",
-    "text_to_expr",
-    "expr_to_backbone",
-    "backbone_to_expr",
-]
+__all__ = ["LangError", "backbone_to_text", "text_to_backbone"]
 
 
 class LangError(ValueError):
     """Malformed BackboneLang text or an ill-formed expression."""
 
 
-@dataclass(frozen=True)
-class Leaf:
-    bit: int
+def backbone_to_text(bb: Backbone) -> str:
+    def emit(node: Node) -> str:
+        if node.span == 1:
+            return f"i{node.msb}"
+        up, lp = bb.parents[node]
+        return f"(o {emit(lp)} {emit(up)})"
 
-
-@dataclass(frozen=True)
-class Group:
-    low: "BackboneExpr"
-    high: "BackboneExpr"
-
-
-BackboneExpr = Union[Leaf, Group]
-
-
-def expr_range(expr: BackboneExpr) -> tuple[int, int]:
-    """(lsb, msb) covered by the expression; raises on non-adjacent operands."""
-    if isinstance(expr, Leaf):
-        return (expr.bit, expr.bit)
-    lo_l, hi_l = expr_range(expr.low)
-    lo_h, hi_h = expr_range(expr.high)
-    if hi_l + 1 != lo_h:
-        raise LangError(
-            f"operands [{lo_l}..{hi_l}] and [{lo_h}..{hi_h}] are not adjacent"
-        )
-    return (lo_l, hi_h)
-
-
-def expr_width(expr: BackboneExpr) -> int:
-    lo, hi = expr_range(expr)
-    if lo != 0:
-        raise LangError(f"expression must start at bit 0, starts at {lo}")
-    return hi + 1
-
-
-def expr_to_text(expr: BackboneExpr) -> str:
-    if isinstance(expr, Leaf):
-        return f"i{expr.bit}"
-    return f"(o {expr_to_text(expr.low)} {expr_to_text(expr.high)})"
+    return emit(bb.root)
 
 
 _TOKEN_RE = re.compile(r"\(|\)|o\b|i\d+")
 
 
-def text_to_expr(text: str) -> BackboneExpr:
+def text_to_backbone(text: str) -> Backbone:
     tokens = _TOKEN_RE.findall(text)
     if "".join(tokens).replace("(", "").replace(")", "") != re.sub(
         r"[\s()]", "", text
     ):
         raise LangError(f"unrecognized characters in {text!r}")
     pos = 0
+    parents: dict[Node, tuple[Node, Node]] = {}
 
-    def parse() -> BackboneExpr:
+    def parse() -> Node:
         nonlocal pos
         if pos >= len(tokens):
             raise LangError("unexpected end of expression")
         tok = tokens[pos]
         pos += 1
         if tok.startswith("i"):
-            return Leaf(int(tok[1:]))
+            return Node(int(tok[1:]), int(tok[1:]))
         if tok != "(":
             raise LangError(f"unexpected token {tok!r}")
         if pos >= len(tokens) or tokens[pos] != "o":
@@ -104,42 +62,21 @@ def text_to_expr(text: str) -> BackboneExpr:
         if pos >= len(tokens) or tokens[pos] != ")":
             raise LangError("expected ')'")
         pos += 1
-        return Group(low, high)
-
-    expr = parse()
-    if pos != len(tokens):
-        raise LangError("trailing tokens after expression")
-    expr_range(expr)  # adjacency check
-    return expr
-
-
-def expr_to_backbone(expr: BackboneExpr) -> Backbone:
-    width = expr_width(expr)
-    parents: dict[Node, tuple[Node, Node]] = {}
-
-    def build(e: BackboneExpr) -> Node:
-        if isinstance(e, Leaf):
-            return Node(e.bit, e.bit)
-        low = build(e.low)
-        high = build(e.high)
+        if low.msb + 1 != high.lsb:
+            raise LangError(
+                f"operands [{low.lsb}..{low.msb}] and [{high.lsb}..{high.msb}]"
+                " are not adjacent"
+            )
         node = Node(high.msb, low.lsb)
         parents[node] = (high, low)
         return node
 
-    build(expr)
+    root = parse()
+    if pos != len(tokens):
+        raise LangError("trailing tokens after expression")
+    if root.lsb != 0:
+        raise LangError(f"expression must start at bit 0, starts at {root.lsb}")
     try:
-        return Backbone.from_parents(width, parents)
-    except BackboneError as exc:  # pragma: no cover - guarded by expr checks
+        return Backbone.from_parents(root.msb + 1, parents)
+    except BackboneError as exc:
         raise LangError(str(exc)) from exc
-
-
-def backbone_to_expr(bb: Backbone) -> BackboneExpr:
-    parents = bb.parent_map
-
-    def build(node: Node) -> BackboneExpr:
-        if node.span == 1:
-            return Leaf(node.msb)
-        up, lp = parents[node]
-        return Group(low=build(lp), high=build(up))
-
-    return build(bb.root)

@@ -481,7 +481,7 @@ class GreedyBackbonePolicy:
         if bb is None:
             raise PolicyError("greedy backbone policy needs structured state")
         step = ctx.model.step
-        parents = bb.parent_map
+        parents = bb.parents
         cost = arrival_table(bb, ctx.profile, ctx.model)
         current = cost[bb.root]
         if ctx.target is not None and current <= ctx.target:
@@ -616,6 +616,8 @@ class RemoteEndpoint:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise PolicyError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+            except UnicodeDecodeError as exc:
+                raise PolicyError(f"{path}: {exc}") from exc
         base = data.get("base_url") if isinstance(data, dict) else None
         if not isinstance(base, str):
             raise PolicyError(f"{path}: base_url must be a string")
@@ -691,9 +693,12 @@ class RemoteLlmPolicy:
             # URLError and HTTPError are OSErrors; a bad URL or body is a ValueError.
             raise PolicyError(f"endpoint failure: {exc}") from exc
         try:
-            return payload["choices"][0]["message"]["content"]
+            content = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise PolicyError(f"malformed completion payload: {payload!r}") from exc
+        if not isinstance(content, str):
+            raise PolicyError(f"malformed completion payload: {payload!r}")
+        return content
 
     def decide(self, ctx: DecisionContext) -> Action:
         build = build_phase1_prompt if ctx.phase == 1 else build_phase2_prompt

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .backbone import Backbone, arrival_table
 from .graph import Node, PrefixGraph, deficiency
-from .lang import BackboneExpr, Group, Leaf
 
 __all__ = [
     "DelayModel",
@@ -116,25 +115,11 @@ class ArrivalProfile:
 
 
 def backbone_cost(
-    tree: Union[Backbone, BackboneExpr],
-    profile: ArrivalProfile,
-    model: DelayModel,
+    bb: Backbone, profile: ArrivalProfile, model: DelayModel
 ) -> float:
     """Arrival at the tree root: leaves cost their input arrival, every
     group adds one step."""
-    if isinstance(tree, Backbone):
-        return arrival_table(tree, profile, model)[tree.root]
-    if isinstance(tree, Leaf):
-        return profile[tree.bit]
-    if isinstance(tree, Group):
-        return (
-            max(
-                backbone_cost(tree.low, profile, model),
-                backbone_cost(tree.high, profile, model),
-            )
-            + model.step
-        )
-    raise TypeError(f"cannot cost {type(tree).__name__}")
+    return arrival_table(bb, profile, model)[bb.root]
 
 
 @dataclass(frozen=True)
@@ -215,6 +200,20 @@ class SweepRow:
     level: int
     deficiency: int
 
+    @classmethod
+    def from_report(cls, graph: PrefixGraph, report: TimingReport) -> SweepRow:
+        """The row of ``graph`` timed by ``report``; with no target, the
+        delay stands in for it."""
+        return cls(
+            target=report.target if report.target is not None else report.delay,
+            area=report.area,
+            delay=report.delay,
+            slack=report.slack if report.slack is not None else 0.0,
+            size=graph.size,
+            level=graph.depth,
+            deficiency=deficiency(graph),
+        )
+
 
 def pareto_sweep(
     synthesize: Callable[[float], PrefixGraph],
@@ -229,16 +228,7 @@ def pareto_sweep(
     rows: list[SweepRow] = []
     for t in target_list:
         graph = synthesize(t)
-        report = graph_arrivals(graph, profile, model, target=t)
         rows.append(
-            SweepRow(
-                target=t,
-                area=report.area,
-                delay=report.delay,
-                slack=report.slack if report.slack is not None else 0.0,
-                size=graph.size,
-                level=graph.depth,
-                deficiency=deficiency(graph),
-            )
+            SweepRow.from_report(graph, graph_arrivals(graph, profile, model, t))
         )
     return rows

@@ -20,9 +20,8 @@ import math
 import random
 from typing import Iterator, Sequence
 
-from prefixsynth.backbone import regroup
+from prefixsynth.backbone import Backbone, regroup
 from prefixsynth.graph import Node, PrefixGraph
-from prefixsynth.lang import BackboneExpr, Group, Leaf
 from prefixsynth.policy import Action, DecisionContext
 from prefixsynth.timing import backbone_cost
 
@@ -72,21 +71,21 @@ def shape_cost(shape: tuple | int, arrivals: list[float], step: float) -> float:
     return max(shape_cost(s, arrivals, step) for s in shape) + step
 
 
-def shape_to_expr(shape: tuple | int) -> BackboneExpr:
-    """Convert a nested-tuple shape into the package's expression type.
+def shape_to_backbone(shape: tuple | int) -> Backbone:
+    """Convert a nested-tuple shape over bits ``msb .. 0`` into a
+    :class:`Backbone`; both put the high subtree first."""
+    parents: dict[Node, tuple[Node, Node]] = {}
 
-    Shapes put the high subtree first; ``Group`` stores low first.
-    """
-    if isinstance(shape, int):
-        return Leaf(shape)
-    high, low = shape
-    return Group(shape_to_expr(low), shape_to_expr(high))
+    def build(s: tuple | int) -> Node:
+        if isinstance(s, int):
+            return Node(s, s)
+        high, low = build(s[0]), build(s[1])
+        node = Node(high.msb, low.lsb)
+        parents[node] = (high, low)
+        return node
 
-
-def expr_to_shape(expr: BackboneExpr) -> tuple | int:
-    if isinstance(expr, Leaf):
-        return expr.bit
-    return (expr_to_shape(expr.high), expr_to_shape(expr.low))
+    root = build(shape)
+    return Backbone.from_parents(root.msb + 1, parents)
 
 
 def shape_range(shape: tuple | int) -> tuple[int, int]:

@@ -30,7 +30,6 @@ from prefixsynth.esat import (
     saturate,
 )
 from prefixsynth.graph import Node, validate
-from prefixsynth.lang import backbone_to_expr, expr_to_backbone
 from prefixsynth.policy import (
     CriticalPathRefinePolicy,
     GreedyBackbonePolicy,
@@ -61,7 +60,7 @@ from oracles import (
     random_columns,
     random_shape,
     shape_cost,
-    shape_to_expr,
+    shape_to_backbone,
 )
 
 MODEL = DelayModel()
@@ -87,8 +86,8 @@ def _pipeline_graphs(width: int) -> list:
     tight = graph_arrivals(sklansky_graph(width), profile, MODEL).delay
     p2 = run_phase2(completed, tight, 32, CriticalPathRefinePolicy(), profile, MODEL)
     graphs.append(p2.graph)
-    eg = saturate(backbone_to_expr(balanced_backbone(width)))
-    graphs.append(complete(expr_to_backbone(extract_optimal(eg, profile, MODEL))))
+    eg = saturate(balanced_backbone(width))
+    graphs.append(complete(extract_optimal(eg, profile, MODEL)))
     return graphs
 
 
@@ -122,7 +121,7 @@ def test_criterion_02_zero_deficiency_completion() -> None:
         shapes = list(all_shapes(width - 1, 0))
         ok = ok and len(shapes) == catalan_ref(width - 1)
         for shape in shapes:
-            bb = expr_to_backbone(shape_to_expr(shape))
+            bb = shape_to_backbone(shape)
             g = complete(bb)
             aux = g.size - (width - 1)
             ok = ok and aux == width - 1 - bb.level
@@ -143,8 +142,8 @@ def test_criterion_03_saturation_counts() -> None:
     expected = {3: 2, 4: 5, 5: 14, 6: 42, 7: 132, 8: 429}
     ok = True
     for width, count in expected.items():
-        eg = saturate(backbone_to_expr(init_serial(width)))
-        ok = ok and eg.saturated and count_trees(eg) == count == catalan_ref(width - 1)
+        eg = saturate(init_serial(width))
+        ok = ok and count_trees(eg) == count == catalan_ref(width - 1)
     _report(
         3,
         "saturated e-graph holds all Catalan(N-1) trees",
@@ -159,7 +158,7 @@ def test_criterion_04_extraction_optimality() -> None:
     ok = True
     for width in range(2, 11):
         shapes = list(all_shapes(width - 1, 0))
-        eg = saturate(backbone_to_expr(init_serial(width)))
+        eg = saturate(init_serial(width))
         for seed in range(50):
             profile = ArrivalProfile.randomized(width, seed=seed, high=0.2)
             got = backbone_cost(extract_optimal(eg, profile, MODEL), profile, MODEL)
@@ -181,12 +180,12 @@ def test_criterion_05_trace_soundness() -> None:
     ok = True
     for width in range(2, 9):
         for shape in all_shapes(width - 1, 0):
-            target = expr_to_backbone(shape_to_expr(shape))
+            target = shape_to_backbone(shape)
             ok = ok and derive_trace(target).replay().nodes == target.nodes
     rng = random.Random(20260825)
     for _ in range(100):
         width = rng.randint(2, 12)
-        target = expr_to_backbone(shape_to_expr(random_shape(width - 1, 0, rng)))
+        target = shape_to_backbone(random_shape(width - 1, 0, rng))
         ok = ok and derive_trace(target).replay().nodes == target.nodes
     _report(
         5,
@@ -283,7 +282,7 @@ def test_criterion_08_refinement_contracts() -> None:
         if graph is None or rng.random() < 0.35:
             width = rng.randint(4, 12)
             graph = complete(
-                expr_to_backbone(shape_to_expr(random_shape(width - 1, 0, rng)))
+                shape_to_backbone(random_shape(width - 1, 0, rng))
             )
         tool = rng.choice(list(applied))
         nodes = list(graph.internal_nodes)
@@ -359,8 +358,7 @@ def test_criterion_09_end_to_end_sweep() -> None:
                 dominated = d2 <= d1 and a2 <= a1 and (d2 < d1 or a2 < a1)
                 ok = ok and not dominated
 
-        eg = saturate(backbone_to_expr(balanced_backbone(width)))
-        ok = ok and eg.saturated
+        eg = saturate(balanced_backbone(width))
         for seed in range(5):
             rprof = ArrivalProfile.randomized(
                 width, seed=1000 + seed, high=(width / 8) * MODEL.step
@@ -383,7 +381,7 @@ def test_criterion_10_datagen_filter() -> None:
     total = 0
     for width in (4, 6, 8):
         profile = ArrivalProfile.uniform(width)
-        eg = saturate(backbone_to_expr(init_serial(width)))
+        eg = saturate(init_serial(width))
         exprs = [
             extract_perturbed(eg, profile, MODEL, seed=i, eps_scale=1.0)
             for i in range(32)

@@ -17,7 +17,6 @@ from prefixsynth.backbone import (
     to_timed_sexpr,
 )
 from prefixsynth.graph import Node, deficiency, validate
-from prefixsynth.lang import expr_to_backbone
 from prefixsynth.timing import ArrivalProfile, DelayModel
 
 from oracles import (
@@ -25,7 +24,7 @@ from oracles import (
     assert_graph_adds_exhaustive,
     catalan_ref,
     random_shape,
-    shape_to_expr,
+    shape_to_backbone,
 )
 
 TIMED_SEXPR_GOLDEN = """\
@@ -96,7 +95,7 @@ def test_regroup_matches_fanout_figure() -> None:
 @given(st.integers(2, 6), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_rotation_closure(width: int, rng) -> None:
-    bb = expr_to_backbone(shape_to_expr(random_shape(width - 1, 0, rng)))
+    bb = shape_to_backbone(random_shape(width - 1, 0, rng))
     for a, b in find_candidates(bb):
         rotated = regroup(bb, a, b)
         assert len(rotated.parents) == width - 1
@@ -147,11 +146,31 @@ def test_complete_balanced_eight_counts() -> None:
 @pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
 def test_complete_random_backbones_add_correctly(width: int) -> None:
     for shape in all_shapes(width - 1, 0):
-        g = complete(expr_to_backbone(shape_to_expr(shape)))
+        g = complete(shape_to_backbone(shape))
         assert validate(g).ok
         assert g.is_complete
     # functional spot check on the widest case
     assert_graph_adds_exhaustive(complete(balanced_backbone(width)))
+
+
+def test_backbone_edits_never_touch_their_input() -> None:
+    serial = init_serial(6)
+    before = dict(serial.parents)
+    assert regroup(serial, Node(5, 5), Node(4, 4)) != serial
+    assert serial.parents == before and serial == init_serial(6)
+
+    balanced = balanced_backbone(8)
+    before = dict(balanced.parents)
+    assert len(complete(balanced).parents) > len(before)
+    assert balanced.parents == before
+
+    parents = dict(init_serial(4).parents)
+    bb = Backbone.from_parents(4, parents)
+    del parents[Node(2, 0)]
+    parents[Node(3, 0)] = (Node(3, 2), Node(1, 0))
+    parents[Node(3, 2)] = (Node(3, 3), Node(2, 2))
+    assert bb == init_serial(4)
+    assert hash(bb) == hash(init_serial(4))
 
 
 def test_timed_sexpr_golden_block() -> None:

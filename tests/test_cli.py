@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prefixsynth.cli import main
 from prefixsynth.dataio import parse_samples
@@ -303,7 +309,7 @@ def test_bad_input_file_is_located_config_error(
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("kind", ["profile", "script", "design"])
+@pytest.mark.parametrize("kind", ["profile", "script", "design", "remote", "export"])
 def test_undecodable_input_file_is_config_error(kind: str, tmp_path: Path, capsys) -> None:
     path = tmp_path / "binary.txt"
     path.write_bytes(b"\xff\xfe0, 0.1\n")
@@ -311,6 +317,8 @@ def test_undecodable_input_file_is_config_error(kind: str, tmp_path: Path, capsy
         "profile": ["synthesize", "--bits", "4", "--profile", str(path)],
         "script": ["synthesize", "--bits", "4", "--policy", f"scripted:{path}"],
         "design": ["verify", str(path)],
+        "remote": ["synthesize", "--bits", "4", "--policy", f"remote:{path}"],
+        "export": ["export", "--bits", "4", "--input", str(path)],
     }[kind]
     if kind != "design":
         argv += ["--out", str(tmp_path / "run")]
@@ -319,3 +327,110 @@ def test_undecodable_input_file_is_config_error(kind: str, tmp_path: Path, capsy
     assert rc == 1
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"{argv[0]}: {path}: ")
+
+
+# -- hostile input -----------------------------------------------------------------
+
+_EPR_4 = """\
+Bitwidth: 4
+Non-input nodes: 4
+Max level: 2
+Max fanout: 2
+
+Input nodes:
+(0,0), tf: [], ntf: [(1,0)]
+(1,1), tf: [(1,0)], ntf: []
+(2,2), tf: [(2,0)], ntf: [(3,2)]
+(3,3), tf: [(3,2)], ntf: []
+
+Non-input nodes:
+(3,0),lvl:2,up:(3,2),lp:(1,0),tf:[],ntf: []
+(3,2),lvl:1,up:(3,3),lp:(2,2),tf:[(3,0)],ntf: []
+(2,0),lvl:2,up:(2,2),lp:(1,0),tf:[],ntf: []
+(1,0),lvl:1,up:(1,1),lp:(0,0),tf:[],ntf: [(2,0), (3,0)]
+"""
+
+_NODES = ["(3,0)", "(3,2)", "(2,0)", "(1,0)", "(2,1)", "(3,3)", "(0,0)", "(9,0)", "(3,0,1)"]
+
+
+def _lines(words: list[str]) -> st.SearchStrategy[bytes]:
+    """Raw bytes, or lines of the format's own words mixed with junk."""
+    word = st.sampled_from(words) | st.text(max_size=8)
+    line = st.lists(word, max_size=6).map(" ".join)
+    return st.binary(max_size=300) | st.lists(line, max_size=20).map(
+        lambda ls: "\n".join(ls).encode("utf-8", "surrogatepass")
+    )
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+_TOOL_CALL = st.builds(
+    lambda tool, args: json.dumps({"tool": tool, "args": args}),
+    st.sampled_from(["regroup", "finish1", "level_opt", "fanout_opt", "node_clone",
+                     "finish2", "think"]),
+    st.dictionaries(st.sampled_from(["a", "b", "node", "driver", "consumer", "target"]),
+                    st.sampled_from(_NODES) | _JSON, max_size=3),
+)
+
+_REPLY = st.binary(max_size=100) | st.builds(
+    lambda content: json.dumps({"choices": [{"message": {"content": content}}]}).encode(),
+    _TOOL_CALL | _JSON | st.text(max_size=40),
+)
+
+_HOSTILE = {
+    "epr-verify": _lines(_EPR_4.split() + _EPR_4.splitlines()),
+    "epr-export": _lines(_EPR_4.split() + _EPR_4.splitlines()),
+    "script": _lines(["regroup", "finish1", "level_opt", "fanout_opt", "node_clone",
+                      "finish2", "#", "3", "2", "1", "0", *_NODES]),
+    "profile": _lines(["0,", "1,", "2,", "3,", "4,", "0.1", "nan", "inf", "-1", "1e400",
+                       "0, 0.0", "1, 0.02", "2, 0.01", "3, 0.03"]),
+    "remote-config": _JSON.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=100),
+    "remote-reply": st.lists(_REPLY, min_size=1, max_size=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HOSTILE))
+def test_hostile_input_exits_cleanly(kind: str) -> None:
+    """Arbitrary file contents and remote replies end in exit 0, 1 or 2 with
+    no traceback; the remote transport is patched, so no socket opens."""
+
+    @given(_HOSTILE[kind])
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    def run(data) -> None:
+        replies = data if kind == "remote-reply" else [b"{}"]
+        calls = iter(range(1 << 30))
+
+        def urlopen(request, timeout=None):
+            return io.BytesIO(replies[next(calls) % len(replies)])
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(urllib.request, "urlopen", urlopen)
+            path = Path(tmp) / "input"
+            config = Path(tmp) / "remote.json"
+            config.write_text('{"base_url": "http://fuzz.invalid"}')
+            if kind != "remote-reply":
+                path.write_bytes(data)
+            out = ["--out", str(Path(tmp) / "run")]
+            synth = ["synthesize", "--bits", "4", "--max-iters", "3", *out]
+            argv = {
+                "epr-verify": ["verify", str(path)],
+                "epr-export": ["export", "--input", str(path), *out],
+                "script": [*synth, "--policy", f"scripted:{path}"],
+                "profile": [*synth, "--profile", str(path)],
+                "remote-config": [*synth, "--policy", f"remote:{path}"],
+                "remote-reply": [*synth, "--policy", f"remote:{config}"],
+            }[kind]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main(argv)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+
+    run()

@@ -25,12 +25,11 @@ from prefixsynth.dataio import (
 from prefixsynth import dataio, policy
 from prefixsynth.esat import derive_trace
 from prefixsynth.graph import Node
-from prefixsynth.lang import expr_to_backbone
 from prefixsynth.policy import Action, RegroupTrace
 from prefixsynth.structures import brent_kung_graph, kogge_stone_graph, sklansky_graph
 from prefixsynth.timing import ArrivalProfile, DelayModel, SweepRow
 
-from oracles import random_shape, shape_to_expr
+from oracles import random_shape, shape_to_backbone
 
 
 def _trace8() -> RegroupTrace:
@@ -88,7 +87,7 @@ def test_synthesize_samples_renders_each_backbone_once(monkeypatch) -> None:
     counted(dataio, "find_candidates")
     rng = random.Random(5)
     traces = [_trace8(), RegroupTrace(8, ())] + [
-        derive_trace(expr_to_backbone(shape_to_expr(random_shape(7, 0, rng))))
+        derive_trace(shape_to_backbone(random_shape(7, 0, rng)))
         for _ in range(4)
     ]
     samples, _ = synthesize_samples(traces, 8, ArrivalProfile.uniform(8))
@@ -160,7 +159,7 @@ def test_verilog_simulates_addition(style: str, make) -> None:
 )
 @settings(max_examples=40, deadline=None)
 def test_verilog_random_graphs_random_vectors(width, rng, style, data) -> None:
-    g = complete(expr_to_backbone(shape_to_expr(random_shape(width - 1, 0, rng))))
+    g = complete(shape_to_backbone(random_shape(width - 1, 0, rng)))
     text = emit_verilog(g, style=style)
     a = data.draw(st.integers(0, (1 << width) - 1))
     b = data.draw(st.integers(0, (1 << width) - 1))

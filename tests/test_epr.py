@@ -15,11 +15,10 @@ from prefixsynth.epr import (
     render_epr,
 )
 from prefixsynth.graph import Node
-from prefixsynth.lang import expr_to_backbone
 from prefixsynth.structures import brent_kung_graph, sklansky_graph
 from prefixsynth.timing import ArrivalProfile, DelayModel, graph_arrivals
 
-from oracles import random_shape, shape_to_expr
+from oracles import random_shape, shape_to_backbone
 
 EPR_GOLDEN = """\
 Bitwidth: 4
@@ -60,7 +59,7 @@ def test_epr_parse_round_trip_structures() -> None:
 @given(st.integers(2, 10), st.randoms(use_true_random=False))
 @settings(max_examples=50, deadline=None)
 def test_epr_round_trip_random_backbones(width: int, rng) -> None:
-    g = complete(expr_to_backbone(shape_to_expr(random_shape(width - 1, 0, rng))))
+    g = complete(shape_to_backbone(random_shape(width - 1, 0, rng)))
     assert parse_epr(render_epr(g)) == g
 
 

@@ -18,7 +18,7 @@ from prefixsynth.esat import (
     saturate,
 )
 from prefixsynth.graph import Node
-from prefixsynth.lang import backbone_to_expr, expr_to_backbone, text_to_expr
+from prefixsynth.lang import text_to_backbone
 from prefixsynth.policy import Action, PolicyError, RegroupTrace, parse_script
 from prefixsynth.timing import ArrivalProfile, DelayModel, backbone_cost
 
@@ -28,14 +28,14 @@ from oracles import (
     random_shape,
     saturate_ref,
     shape_cost,
-    shape_to_expr,
+    shape_to_backbone,
 )
 
 
 @pytest.mark.parametrize("width", range(2, 9))
 def test_closed_form_matches_generic_saturation(width: int) -> None:
     trees, enodes = saturate_ref(width)
-    eg = saturate(backbone_to_expr(init_serial(width)))
+    eg = saturate(init_serial(width))
     classes = list(eg.classes())
     assert classes == sorted(classes, key=lambda c: (c[1] - c[0], c[0]))
     assert set(classes) == {(lo, hi) for lo, hi, _ in enodes} | {
@@ -51,14 +51,13 @@ def test_closed_form_matches_generic_saturation(width: int) -> None:
     "width,count", [(3, 2), (4, 5), (5, 14), (6, 42), (7, 132), (8, 429)]
 )
 def test_saturation_tree_counts(width: int, count: int) -> None:
-    eg = saturate(backbone_to_expr(init_serial(width)))
-    assert eg.saturated
+    eg = saturate(init_serial(width))
     assert count_trees(eg) == count == catalan_ref(width - 1)
 
 
 def test_saturation_start_point_irrelevant() -> None:
-    from_serial = saturate(backbone_to_expr(init_serial(6)))
-    from_balanced = saturate(backbone_to_expr(balanced_backbone(6)))
+    from_serial = saturate(init_serial(6))
+    from_balanced = saturate(balanced_backbone(6))
     assert count_trees(from_serial) == count_trees(from_balanced)
 
 
@@ -67,7 +66,7 @@ def test_saturation_start_point_irrelevant() -> None:
 def test_extraction_beats_brute_force_never(width: int, seed: int) -> None:
     profile = ArrivalProfile.randomized(width, seed=seed, high=0.2)
     model = DelayModel()
-    eg = saturate(backbone_to_expr(init_serial(width)))
+    eg = saturate(init_serial(width))
     got = backbone_cost(extract_optimal(eg, profile, model), profile, model)
     best = min(
         shape_cost(s, list(profile.times), model.step)
@@ -79,7 +78,7 @@ def test_extraction_beats_brute_force_never(width: int, seed: int) -> None:
 def test_extraction_deterministic() -> None:
     profile = ArrivalProfile.randomized(8, seed=11, high=0.1)
     model = DelayModel()
-    eg = saturate(backbone_to_expr(init_serial(8)))
+    eg = saturate(init_serial(8))
     assert extract_optimal(eg, profile, model) == extract_optimal(
         eg, profile, model
     )
@@ -95,15 +94,15 @@ def test_extraction_deterministic() -> None:
     ],
 )
 def test_extraction_tie_break_uniform(width: int, text: str) -> None:
-    eg = saturate(backbone_to_expr(init_serial(width)))
+    eg = saturate(init_serial(width))
     got = extract_optimal(eg, ArrivalProfile.uniform(width), DelayModel())
-    assert got == text_to_expr(text)
+    assert got == text_to_backbone(text)
 
 
 def test_perturbed_extraction_zero_eps_is_optimal() -> None:
     profile = ArrivalProfile.randomized(8, seed=5, high=0.1)
     model = DelayModel()
-    eg = saturate(backbone_to_expr(init_serial(8)))
+    eg = saturate(init_serial(8))
     for seed in range(5):
         assert extract_perturbed(
             eg, profile, model, seed=seed, eps_scale=0.0
@@ -113,7 +112,7 @@ def test_perturbed_extraction_zero_eps_is_optimal() -> None:
 def test_perturbed_extraction_seeded_and_diverse() -> None:
     profile = ArrivalProfile.uniform(8)
     model = DelayModel()
-    eg = saturate(backbone_to_expr(init_serial(8)))
+    eg = saturate(init_serial(8))
     one = extract_perturbed(eg, profile, model, seed=3, eps_scale=2.0)
     two = extract_perturbed(eg, profile, model, seed=3, eps_scale=2.0)
     assert one == two
@@ -144,7 +143,7 @@ def test_derive_trace_balanced_eight() -> None:
 def test_derive_trace_exhaustive_small(width: int) -> None:
     serial_nodes = init_serial(width).nodes
     for shape in all_shapes(width - 1, 0):
-        target = expr_to_backbone(shape_to_expr(shape))
+        target = shape_to_backbone(shape)
         trace = derive_trace(target)
         assert trace.replay().nodes == target.nodes
         assert len(trace.steps) == len(target.nodes - serial_nodes)
@@ -153,7 +152,7 @@ def test_derive_trace_exhaustive_small(width: int) -> None:
 @given(st.integers(2, 12), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_derive_trace_random_targets(width: int, rng) -> None:
-    target = expr_to_backbone(shape_to_expr(random_shape(width - 1, 0, rng)))
+    target = shape_to_backbone(random_shape(width - 1, 0, rng))
     assert derive_trace(target).replay().nodes == target.nodes
 
 
@@ -175,14 +174,13 @@ def test_trace_text_stops_at_finish() -> None:
 
 
 def test_filter_low_deficiency_threshold_zero() -> None:
-    shapes = [shape_to_expr(s) for s in all_shapes(7, 0)]
+    shapes = [shape_to_backbone(s) for s in all_shapes(7, 0)]
     kept = filter_low_deficiency(shapes, threshold=0)
     assert kept  # the serial chain always qualifies
-    for expr in kept:
-        bb = expr_to_backbone(expr)
+    for bb in kept:
         assert complete(bb).depth == bb.level
     # balanced-8 completes one level past its ridge, so it is dropped
-    assert backbone_to_expr(balanced_backbone(8)) not in kept
+    assert balanced_backbone(8) not in kept
     relaxed = filter_low_deficiency(shapes, threshold=1)
     assert set(map(id, kept)) <= set(map(id, relaxed)) or len(kept) <= len(relaxed)
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Backbone expression language: text round trips and conversions."""
+"""Backbone text form: round trips and malformed input."""
 
 from __future__ import annotations
 
@@ -7,42 +7,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixsynth.backbone import balanced_backbone, init_serial
-from prefixsynth.lang import (
-    Group,
-    LangError,
-    Leaf,
-    backbone_to_expr,
-    expr_range,
-    expr_to_backbone,
-    expr_to_text,
-    expr_width,
-    text_to_expr,
-)
+from prefixsynth.graph import Node
+from prefixsynth.lang import LangError, backbone_to_text, text_to_backbone
 
-from oracles import random_shape, shape_to_expr
+from oracles import random_shape, shape_to_backbone
+
+
+def _shape_text(shape: tuple | int) -> str:
+    """The text of a nested-tuple shape, written low operand first."""
+    if isinstance(shape, int):
+        return f"i{shape}"
+    high, low = shape
+    return f"(o {_shape_text(low)} {_shape_text(high)})"
 
 
 def test_text_format_examples() -> None:
-    assert expr_to_text(backbone_to_expr(balanced_backbone(4))) == (
-        "(o (o i0 i1) (o i2 i3))"
-    )
-    assert expr_to_text(backbone_to_expr(init_serial(4))) == (
-        "(o (o (o i0 i1) i2) i3)"
-    )
+    assert backbone_to_text(balanced_backbone(4)) == "(o (o i0 i1) (o i2 i3))"
+    assert backbone_to_text(init_serial(4)) == "(o (o (o i0 i1) i2) i3)"
 
 
 def test_expr_range_and_width() -> None:
-    expr = backbone_to_expr(balanced_backbone(6))
-    assert expr_range(expr) == (0, 5)
-    assert expr_width(expr) == 6
-    assert expr_range(Leaf(3)) == (3, 3)
+    bb = text_to_backbone(backbone_to_text(balanced_backbone(6)))
+    assert (bb.width, bb.root) == (6, Node(5, 0))
+    with pytest.raises(LangError, match="start at bit 0"):
+        text_to_backbone("(o i3 i4)")
 
 
 def test_leaf_and_group_ranges_compose() -> None:
-    g = Group(Group(Leaf(0), Leaf(1)), Group(Leaf(2), Leaf(3)))
-    assert expr_range(g) == (0, 3)
-    assert expr_range(g.low) == (0, 1)
-    assert expr_range(g.high) == (2, 3)
+    assert text_to_backbone("(o (o i0 i1) (o i2 i3))").parents == {
+        Node(3, 0): (Node(3, 2), Node(1, 0)),
+        Node(3, 2): (Node(3, 3), Node(2, 2)),
+        Node(1, 0): (Node(1, 1), Node(0, 0)),
+    }
 
 
 @pytest.mark.parametrize(
@@ -58,25 +54,26 @@ def test_leaf_and_group_ranges_compose() -> None:
 )
 def test_malformed_text_rejected(bad: str) -> None:
     with pytest.raises(LangError):
-        text_to_expr(bad)
+        text_to_backbone(bad)
 
 
 @given(st.integers(2, 12), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_text_round_trip_random_trees(width: int, rng) -> None:
-    expr = shape_to_expr(random_shape(width - 1, 0, rng))
-    assert text_to_expr(expr_to_text(expr)) == expr
+    text = _shape_text(random_shape(width - 1, 0, rng))
+    assert backbone_to_text(text_to_backbone(text)) == text
 
 
 @given(st.integers(2, 12), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_backbone_round_trip_random_trees(width: int, rng) -> None:
-    expr = shape_to_expr(random_shape(width - 1, 0, rng))
-    bb = expr_to_backbone(expr)
-    assert backbone_to_expr(bb) == expr
+    shape = random_shape(width - 1, 0, rng)
+    bb = text_to_backbone(_shape_text(shape))
+    assert bb == shape_to_backbone(shape)
+    assert text_to_backbone(backbone_to_text(bb)) == bb
     assert bb.width == width
 
 
 def test_non_contiguous_groups_rejected() -> None:
-    with pytest.raises(LangError):
-        expr_to_backbone(Group(Leaf(1), Leaf(3)))
+    with pytest.raises(LangError, match="not adjacent"):
+        text_to_backbone("(o (o i0 i1) i3)")

@@ -22,7 +22,6 @@ from prefixsynth.backbone import (
 )
 from prefixsynth.esat import derive_trace, extract_optimal, saturate
 from prefixsynth.graph import Node
-from prefixsynth.lang import backbone_to_expr
 from prefixsynth.policy import (
     Action,
     CriticalPathRefinePolicy,
@@ -43,8 +42,7 @@ from prefixsynth.policy import (
 )
 from prefixsynth.timing import ArrivalProfile, DelayModel, backbone_cost, graph_arrivals
 
-from oracles import greedy_decide_ref, random_shape, shape_to_expr
-from prefixsynth.lang import expr_to_backbone
+from oracles import greedy_decide_ref, random_shape, shape_to_backbone
 
 MODEL = DelayModel()
 
@@ -241,7 +239,7 @@ def test_greedy_skewed_three_bits() -> None:
     result = run_phase1(3, profile, None, 8, GreedyBackbonePolicy(), model)
     cost = backbone_cost(result.backbone, profile, model)
     assert cost == pytest.approx(3.0)
-    eg = saturate(backbone_to_expr(init_serial(3)))
+    eg = saturate(init_serial(3))
     best = backbone_cost(extract_optimal(eg, profile, model), profile, model)
     assert cost == pytest.approx(best)
 
@@ -251,7 +249,7 @@ def test_greedy_matches_extraction_on_uniform(width: int) -> None:
     profile = ArrivalProfile.uniform(width)
     result = run_phase1(width, profile, None, 32, GreedyBackbonePolicy())
     greedy_cost = backbone_cost(result.backbone, profile, MODEL)
-    eg = saturate(backbone_to_expr(init_serial(width)))
+    eg = saturate(init_serial(width))
     best = backbone_cost(extract_optimal(eg, profile, MODEL), profile, MODEL)
     assert greedy_cost == pytest.approx(best)
     lg = (width - 1).bit_length()
@@ -264,7 +262,7 @@ def test_greedy_never_beats_extraction(width: int, seed: int) -> None:
     profile = ArrivalProfile.randomized(width, seed=seed, high=0.15)
     result = run_phase1(width, profile, None, 64, GreedyBackbonePolicy())
     greedy_cost = backbone_cost(result.backbone, profile, MODEL)
-    eg = saturate(backbone_to_expr(init_serial(width)))
+    eg = saturate(init_serial(width))
     best = backbone_cost(extract_optimal(eg, profile, MODEL), profile, MODEL)
     assert greedy_cost >= best - 1e-12
 
@@ -414,7 +412,7 @@ def test_run_phase2_requires_complete_graph() -> None:
 @given(st.integers(3, 10), st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)
 def test_scripted_trace_replay_is_exact(width: int, rng) -> None:
-    target = expr_to_backbone(shape_to_expr(random_shape(width - 1, 0, rng)))
+    target = shape_to_backbone(random_shape(width - 1, 0, rng))
     trace = derive_trace(target)
     result = run_phase1(
         width, ArrivalProfile.uniform(width), None, len(trace.steps) + 1,
@@ -551,8 +549,12 @@ def _http_error(request, timeout):
         (_http_error, "endpoint failure: HTTP Error 503"),
         (lambda request, timeout: _Reply(b"<html>"), "endpoint failure: "),
         (lambda request, timeout: _Reply(b'{"choices": []}'), "malformed completion payload"),
+        (
+            lambda request, timeout: _Reply(b'{"choices": [{"message": {"content": null}}]}'),
+            "malformed completion payload",
+        ),
     ],
-    ids=["http-error", "not-json", "malformed-payload"],
+    ids=["http-error", "not-json", "malformed-payload", "content-not-text"],
 )
 def test_http_transport_failures_are_policy_errors(monkeypatch, urlopen, message) -> None:
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)

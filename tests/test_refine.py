@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from prefixsynth.backbone import balanced_backbone, complete, init_serial
 from prefixsynth.graph import Node, simulate, validate
-from prefixsynth.lang import expr_to_backbone
 from prefixsynth.policy import (
     Action,
     PolicyError,
@@ -31,7 +30,7 @@ from prefixsynth.timing import ArrivalProfile
 from oracles import (
     assert_graph_adds_exhaustive,
     random_shape,
-    shape_to_expr,
+    shape_to_backbone,
 )
 
 
@@ -165,7 +164,7 @@ def test_apply_action_dispatch() -> None:
 @given(st.integers(4, 10), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_random_tool_applications_preserve_function(width: int, rng) -> None:
-    g = complete(expr_to_backbone(shape_to_expr(random_shape(width - 1, 0, rng))))
+    g = complete(shape_to_backbone(random_shape(width - 1, 0, rng)))
     applied = 0
     for _ in range(6):
         nodes = [n for n in g.internal_nodes]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixsynth.backbone import balanced_backbone, complete, init_serial
+from prefixsynth.backbone import complete, init_serial
 from prefixsynth.graph import Node
 from prefixsynth.structures import serial_graph, sklansky_graph
 from prefixsynth.timing import (
@@ -19,8 +19,7 @@ from prefixsynth.timing import (
     pareto_sweep,
 )
 
-from oracles import random_shape, shape_cost, shape_to_expr
-from prefixsynth.lang import expr_to_backbone
+from oracles import random_shape, shape_cost, shape_to_backbone
 
 
 def test_delay_model_defaults() -> None:
@@ -62,22 +61,11 @@ def test_backbone_cost_matches_tree_recursion(width, rng, data) -> None:
     ]
     model = DelayModel()
     got = backbone_cost(
-        expr_to_backbone(shape_to_expr(shape)),
+        shape_to_backbone(shape),
         ArrivalProfile(tuple(arrivals)),
         model,
     )
     assert got == pytest.approx(shape_cost(shape, arrivals, model.step))
-
-
-def test_backbone_cost_accepts_expressions() -> None:
-    model = DelayModel()
-    prof = ArrivalProfile.uniform(4)
-    bb = balanced_backbone(4)
-    from prefixsynth.lang import backbone_to_expr
-
-    assert backbone_cost(bb, prof, model) == pytest.approx(
-        backbone_cost(backbone_to_expr(bb), prof, model)
-    )
 
 
 def test_graph_arrivals_serial_chain() -> None:
