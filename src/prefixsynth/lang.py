@@ -51,7 +51,8 @@ def text_to_backbone(text: str) -> Backbone:
         tok = tokens[pos]
         pos += 1
         if tok.startswith("i"):
-            return Node(int(tok[1:]), int(tok[1:]))
+            bit = int(tok[1:])
+            return Node(bit, bit)
         if tok != "(":
             raise LangError(f"unexpected token {tok!r}")
         if pos >= len(tokens) or tokens[pos] != "o":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import tempfile
 import urllib.request
@@ -404,11 +405,10 @@ def test_hostile_input_exits_cleanly(kind: str) -> None:
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     def run(data) -> None:
-        replies = data if kind == "remote-reply" else [b"{}"]
-        calls = iter(range(1 << 30))
+        replies = itertools.cycle(data if kind == "remote-reply" else [b"{}"])
 
         def urlopen(request, timeout=None):
-            return io.BytesIO(replies[next(calls) % len(replies)])
+            return io.BytesIO(next(replies))
 
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(urllib.request, "urlopen", urlopen)
