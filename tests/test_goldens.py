@@ -56,6 +56,14 @@ EVAL_JOBS = [(bits, profile) for bits in (16, 32) for profile in PROFILES]
 
 SCRIPTED_JOBS = [(bits, profile) for bits in (16, 32) for profile in PROFILES]
 
+# Textbook adders straight through the emitters, with no policy involved.
+EXPORT_JOBS = [
+    (structure, bits, style)
+    for structure in ("sklansky", "kogge-stone", "brent-kung", "serial")
+    for bits in (16, 64, 128)
+    for style in ("plain", "inverting")
+]
+
 
 def _digest(path: Path) -> dict:
     data = path.read_bytes()
@@ -115,6 +123,13 @@ def _eval(bits: int, profile: str, out: Path) -> dict[str, dict]:
     return {f"eval-{bits}-{profile}/report.csv": _digest(out / "report.csv")}
 
 
+def _export(structure: str, bits: int, style: str, out: Path) -> dict[str, dict]:
+    argv = ["export", "--bits", str(bits), "--structure", structure, "--style", style]
+    _run(argv, out)
+    name = f"export-{structure}-{bits}-{style}"
+    return {f"{name}/{a}": _digest(out / a) for a in ("design.epr", "design.v")}
+
+
 @pytest.mark.parametrize("bits,profile", DATAGEN_JOBS)
 def test_datagen_samples_digest(bits: int, profile: str, tmp_path: Path) -> None:
     got = _datagen(bits, profile, tmp_path)
@@ -141,6 +156,12 @@ def test_scripted_synthesize_digests(bits: int, profile: str, tmp_path: Path) ->
     assert got == {k: GOLDENS[k] for k in got}
 
 
+@pytest.mark.parametrize("structure,bits,style", EXPORT_JOBS)
+def test_export_digests(structure: str, bits: int, style: str, tmp_path: Path) -> None:
+    got = _export(structure, bits, style, tmp_path)
+    assert got == {k: GOLDENS[k] for k in got}
+
+
 # With 4 iterations phase 1 stops before finish1, so trace.txt has none.
 @pytest.mark.parametrize("bits,max_iters", [(16, 64), (32, 64), (16, 4)])
 def test_greedy_trace_replays_as_script(bits: int, max_iters: int, tmp_path: Path) -> None:
@@ -162,6 +183,7 @@ def current_digests() -> dict[str, dict]:
         + [(_synthesize, job) for job in SYNTH_JOBS]
         + [(_eval, job) for job in EVAL_JOBS]
         + [(_scripted, job) for job in SCRIPTED_JOBS]
+        + [(_export, job) for job in EXPORT_JOBS]
     )
     for run, job in jobs:
         with tempfile.TemporaryDirectory() as tmp:
