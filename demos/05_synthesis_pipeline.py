@@ -1,17 +1,19 @@
-"""Two-phase synthesis: backbone search, completion, structural refinement.
+"""Two-phase synthesis: backbone replay, completion, structural refinement.
 
-Phase 1 regroups the backbone toward a delay target, completion fills in the
-remaining sum outputs, and phase 2 applies level/fanout refinements to the
-full graph.  Sweeping the target produces an area-delay trade-off curve.
+Phase 1 replays the regroup trace of the e-graph's min-cost backbone,
+completion fills in the remaining sum outputs, and phase 2 applies
+level/fanout refinements to the full graph until the delay target is met.
+Sweeping the target produces an area-delay trade-off curve.
 """
 
 from __future__ import annotations
 
 from prefixsynth.backbone import complete, init_serial
 from prefixsynth.dataio import emit_report
+from prefixsynth.esat import derive_trace, extract_optimal, saturate
 from prefixsynth.policy import (
     CriticalPathRefinePolicy,
-    GreedyBackbonePolicy,
+    ScriptedPolicy,
     run_phase1,
     run_phase2,
 )
@@ -28,9 +30,11 @@ def main() -> None:
     fast = graph_arrivals(sklansky_graph(WIDTH), profile, model).delay
     slow = graph_arrivals(complete(init_serial(WIDTH)), profile, model).delay
     targets = [fast + (slow - fast) * i / 3 for i in range(4)]
+    optimum = extract_optimal(saturate(init_serial(WIDTH)), profile, model)
+    steps = derive_trace(optimum).steps
 
     def synthesize(target: float):
-        phase1 = run_phase1(WIDTH, profile, target, 64, GreedyBackbonePolicy(), model)
+        phase1 = run_phase1(WIDTH, profile, target, 64, ScriptedPolicy(steps), model)
         graph = complete(phase1.backbone)
         phase2 = run_phase2(
             graph, target, 64, CriticalPathRefinePolicy(), profile, model

@@ -63,7 +63,6 @@ from .policy import (
     Action,
     CriticalPathRefinePolicy,
     DecisionContext,
-    GreedyBackbonePolicy,
     Phase1Result,
     Phase2Result,
     Policy,
@@ -179,7 +178,6 @@ __all__ = [
     "run_phase2",
     "build_phase1_prompt",
     "build_phase2_prompt",
-    "GreedyBackbonePolicy",
     "CriticalPathRefinePolicy",
     "ScriptedPolicy",
     "RemoteEndpoint",

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from .backbone import complete, init_serial
 from .dataio import emit_report, emit_samples, emit_verilog, synthesize_samples
 from .epr import EprParseError, parse_epr, render_epr
-from .esat import derive_trace, extract_perturbed, filter_low_deficiency, saturate
+from .esat import (
+    derive_trace,
+    extract_optimal,
+    extract_perturbed,
+    filter_low_deficiency,
+    saturate,
+)
 from .graph import (
     PrefixGraph,
     exhaustive_addition_check,
@@ -30,7 +36,6 @@ from .graph import (
 from .policy import (
     Action,
     CriticalPathRefinePolicy,
-    GreedyBackbonePolicy,
     Phase1Result,
     Phase2Result,
     Policy,
@@ -85,7 +90,8 @@ class RunConfig:
     def from_args(cls, args: argparse.Namespace) -> RunConfig:
         if not 2 <= args.bits <= 256:
             raise ConfigError(f"--bits must be in [2, 256], got {args.bits}")
-        if args.max_iters < 1:
+        max_iters = max(64, args.bits) if args.max_iters is None else args.max_iters
+        if max_iters < 1:
             raise ConfigError("--max-iters must be >= 1")
         try:
             model = DelayModel(
@@ -106,7 +112,7 @@ class RunConfig:
             model=model,
             seed=args.seed,
             target=target,
-            max_iters=args.max_iters,
+            max_iters=max_iters,
             policy_spec=args.policy,
             out=args.out,
         )
@@ -144,8 +150,9 @@ def _resolve_profile(
 
 def _resolve_policies(cfg: RunConfig) -> tuple[Policy, Policy]:
     spec = cfg.policy_spec
-    if spec == "greedy":
-        return GreedyBackbonePolicy(), CriticalPathRefinePolicy()
+    if spec == "offline":
+        optimum = extract_optimal(saturate(init_serial(cfg.width)), cfg.profile, cfg.model)
+        return ScriptedPolicy(derive_trace(optimum).steps), CriticalPathRefinePolicy()
     if spec.startswith("scripted:"):
         path = spec.split(":", 1)[1]
         text = _read_input(path, "script")
@@ -373,11 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=0, help="seed for random choices")
     common.add_argument("--target", default=None, help="target delay (eval: comma list)")
-    common.add_argument("--max-iters", type=int, default=64, help="decision budget per phase")
+    common.add_argument(
+        "--max-iters",
+        type=int,
+        default=None,
+        help="decision budget per phase (default: the larger of 64 and --bits)",
+    )
     common.add_argument(
         "--policy",
-        default="greedy",
-        help="greedy | scripted:FILE | remote[:CONFIG]",
+        default="offline",
+        help="offline | scripted:FILE | remote[:CONFIG]",
     )
     common.add_argument("--model-d", type=float, default=0.030, help="node delay d")
     common.add_argument("--model-lambda", type=float, default=0.005, help="margin per level")

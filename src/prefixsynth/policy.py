@@ -2,9 +2,11 @@
 
 Phase one edits the backbone with regroup calls; phase two refines the
 completed graph with level/fanout/clone tools.  Policies are pluggable:
-deterministic ones (greedy backbone search, critical-path refinement,
-scripted replay) keep everything offline, while :class:`RemoteLlmPolicy`
-speaks a chat-completions JSON protocol to an external model.  The
+deterministic ones (scripted replay, critical-path refinement) keep
+everything offline, while :class:`RemoteLlmPolicy` speaks a
+chat-completions JSON protocol to an external model.  The offline flow
+replays the regroup trace of the e-graph's min-cost backbone through
+:class:`ScriptedPolicy`, so every phase-1 run shares one trace form.  The
 orchestrators validate every tool call before applying it, feed rejection
 reasons back to the policy, and abort with the partial trace once a policy
 misbehaves three times in a row.
@@ -21,7 +23,6 @@ from . import refine
 from .backbone import (
     Backbone,
     RegroupError,
-    arrival_table,
     find_candidates,
     init_serial,
     regroup,
@@ -49,7 +50,6 @@ __all__ = [
     "Phase2Result",
     "run_phase1",
     "run_phase2",
-    "GreedyBackbonePolicy",
     "CriticalPathRefinePolicy",
     "ScriptedPolicy",
     "RemoteEndpoint",
@@ -462,60 +462,6 @@ def run_phase2(
 
 
 # -- deterministic policies ----------------------------------------------------
-
-
-class GreedyBackbonePolicy:
-    """Phase-one stand-in: take the candidate that minimizes the annotated
-    root cost; finish when at target or no candidate strictly improves.
-
-    A regroup at ridge node ``(i, 0)`` changes only the arrival of the node
-    it creates, of ``(i, 0)`` and of the ridge nodes above, so each candidate
-    is scored from one :func:`~prefixsynth.backbone.arrival_table` of the
-    current backbone, with the same ``max(up, lp) + step`` float operations
-    that :func:`~prefixsynth.timing.backbone_cost` applies to the regrouped
-    tree.
-    """
-
-    def decide(self, ctx: DecisionContext) -> Action:
-        bb = ctx.backbone
-        if bb is None:
-            raise PolicyError("greedy backbone policy needs structured state")
-        step = ctx.model.step
-        parents = bb.parents
-        cost = arrival_table(bb, ctx.profile, ctx.model)
-        current = cost[bb.root]
-        if ctx.target is not None and current <= ctx.target:
-            return Action("finish1")
-        # Arrivals down the ridge, root first and ending at the leaf (0, 0),
-        # and of each ridge node's upper parent.
-        position: dict[int, int] = {}
-        ridge_cost: list[float] = []
-        up_cost: list[float] = []
-        node = bb.root
-        while node.span > 1:
-            position[node.msb] = len(ridge_cost)
-            ridge_cost.append(cost[node])
-            up, node = parents[node]
-            up_cost.append(cost[up])
-        ridge_cost.append(cost[node])
-        best: tuple[float, int] | None = None
-        for i, (a, b) in enumerate(ctx.candidates):
-            # The site (a.msb, 0) is ridge node j and a its upper parent; b
-            # is the upper parent of ridge node j + 1, which the regroup
-            # removes.  The created (a.msb, b.lsb) reads a and b, and the
-            # site reads it and ridge node j + 2.
-            j = position[a.msb]
-            created = max(up_cost[j], up_cost[j + 1]) + step
-            x = max(created, ridge_cost[j + 2]) + step
-            while j > 0 and x != ridge_cost[j]:
-                j -= 1
-                x = max(up_cost[j], x) + step
-            score = x if j == 0 else current
-            if best is None or (score, i) < best:
-                best = (score, i)
-        if best is None or best[0] >= current:
-            return Action("finish1")
-        return Action("regroup", ctx.candidates[best[1]])
 
 
 class CriticalPathRefinePolicy:

@@ -8,6 +8,7 @@ the driving node.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -53,8 +54,8 @@ class ArrivalProfile:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(t < 0 for t in self.times):
-            raise ValueError("arrival times must be >= 0")
+        if not all(math.isfinite(t) and t >= 0 for t in self.times):
+            raise ValueError("arrival times must be finite and >= 0")
 
     def __getitem__(self, bit: int) -> float:
         return self.times[bit]
@@ -108,6 +109,8 @@ class ArrivalProfile:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             if bit in times:
                 raise ValueError(f"line {lineno}: duplicate bit {bit}")
+            if not math.isfinite(t) or t < 0:
+                raise ValueError(f"line {lineno}: arrival must be finite and >= 0")
             times[bit] = t
         if sorted(times) != list(range(len(times))):
             raise ValueError("bit indices must cover 0..n-1")

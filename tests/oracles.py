@@ -3,9 +3,7 @@
 Everything here is implemented from first principles (textbook ripple-carry
 addition, nested-tuple binary tree enumeration, direct recursions) rather
 than by calling back into :mod:`prefixsynth`, so the tests compare two
-independent derivations of each fact.  :func:`greedy_decide_ref` is the
-exception: it checks the incremental greedy scorer against full re-costing
-with the package's own ``regroup`` and ``backbone_cost``.
+independent derivations of each fact.
 
 Trees are nested tuples: a leaf is an ``int`` bit index, an internal node is
 ``(high_subtree, low_subtree)`` where the high subtree covers the more
@@ -20,10 +18,8 @@ import math
 import random
 from typing import Iterator, Sequence
 
-from prefixsynth.backbone import Backbone, regroup
+from prefixsynth.backbone import Backbone
 from prefixsynth.graph import Node, PrefixGraph
-from prefixsynth.policy import Action, DecisionContext
-from prefixsynth.timing import backbone_cost
 
 Shape = "int | tuple"
 
@@ -254,32 +250,3 @@ def assert_graph_adds_random(graph: PrefixGraph, lanes: int, seed: int) -> None:
     acols, bcols, got = random_columns(graph.width, lanes, seed)
     bad = count_addition_mismatch_lanes(graph, acols, bcols, got)
     assert bad == 0, f"{bad} of {lanes} random vectors disagree"
-
-
-# ---------------------------------------------------------------------------
-# Greedy phase-1 decision by full re-costing
-# ---------------------------------------------------------------------------
-
-
-def greedy_decide_ref(ctx: DecisionContext) -> Action:
-    """The greedy backbone decision computed the direct way: apply each
-    candidate regroup and cost the whole resulting backbone.
-
-    Unlike the rest of this module it calls into the package, because it is
-    the reference for the incremental scorer, not for the cost model.
-    """
-    bb = ctx.backbone
-    assert bb is not None
-    current = backbone_cost(bb, ctx.profile, ctx.model)
-    if ctx.target is not None and current <= ctx.target:
-        return Action("finish1")
-    best: tuple[float, int] | None = None
-    best_call = Action("finish1")
-    for i, (a, b) in enumerate(ctx.candidates):
-        cost = backbone_cost(regroup(bb, a, b), ctx.profile, ctx.model)
-        if best is None or (cost, i) < best:
-            best = (cost, i)
-            best_call = Action("regroup", (a, b))
-    if best is None or best[0] >= current:
-        return Action("finish1")
-    return best_call

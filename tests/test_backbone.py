@@ -153,6 +153,17 @@ def test_complete_random_backbones_add_correctly(width: int) -> None:
     assert_graph_adds_exhaustive(complete(balanced_backbone(width)))
 
 
+@given(st.integers(2, 64), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_completion_deficiency_is_depth_over_ridge(width: int, rng) -> None:
+    # A completed backbone has 2(n-1) - level nodes, so its excess over
+    # Snir's size + depth >= 2n - 2 bound is exactly depth - level.
+    bb = shape_to_backbone(random_shape(width - 1, 0, rng))
+    g = complete(bb)
+    assert deficiency(g) == g.depth - bb.level
+    assert deficiency(g) >= 0
+
+
 def test_backbone_edits_never_touch_their_input() -> None:
     serial = init_serial(6)
     before = dict(serial.parents)

@@ -281,12 +281,16 @@ def test_bad_target_is_config_error(
         ("script", "regroup 3 3 2 2\nfinish1\nlevel_opt (7,0)\nregroup 5 5 4 4\n", 4),
         ("script", "level_opt (7,0)\nregroup 3 3 2 2\n", 2),
         ("profile", "0, 0.0\n1 0.1\n", 2),
+        ("profile", "0, 0.0\n1, nan\n", 2),
+        ("profile", "0, inf\n1, 0.0\n", 1),
+        ("profile", "0, 0.0\n1, 0.1\n2, 1e400\n", 3),
         ("remote", "{not json\n", 1),
         ("remote", '{"base_url": 5}\n', None),
     ],
     ids=[
         "script-phase1-line", "script-phase2-token", "script-regroup-after-edit",
-        "script-regroup-without-finish1", "profile-line", "remote-not-json",
+        "script-regroup-without-finish1", "profile-line", "profile-nan", "profile-inf",
+        "profile-overflow", "remote-not-json",
         "remote-base-url-not-string",
     ],
 )

@@ -162,17 +162,22 @@ def test_export_digests(structure: str, bits: int, style: str, tmp_path: Path) -
     assert got == {k: GOLDENS[k] for k in got}
 
 
-# With 4 iterations phase 1 stops before finish1, so trace.txt has none.
-@pytest.mark.parametrize("bits,max_iters", [(16, 64), (32, 64), (16, 4)])
-def test_greedy_trace_replays_as_script(bits: int, max_iters: int, tmp_path: Path) -> None:
-    argv = ["synthesize", "--bits", str(bits), "--max-iters", str(max_iters)]
-    _run(argv, tmp_path / "greedy")
-    trace = tmp_path / "greedy" / "trace.txt"
-    assert ("finish1" in trace.read_text()) == (max_iters == 64)
+# The default budget, max(64, bits), fits the optimum's whole trace, so
+# trace.txt ends phase 1 with finish1; with 4 iterations it stops before.
+@pytest.mark.parametrize("bits,max_iters", [(16, None), (32, None), (128, None), (16, 4)])
+def test_offline_trace_replays_as_script(
+    bits: int, max_iters: int | None, tmp_path: Path
+) -> None:
+    argv = ["synthesize", "--bits", str(bits)]
+    if max_iters is not None:
+        argv += ["--max-iters", str(max_iters)]
+    _run(argv, tmp_path / "offline")
+    trace = tmp_path / "offline" / "trace.txt"
+    assert ("finish1" in trace.read_text()) == (max_iters is None)
     _run(argv + ["--policy", f"scripted:{trace}"], tmp_path / "replay")
     for name in ("design.epr", "trace.txt"):
         replayed = (tmp_path / "replay" / name).read_bytes()
-        assert replayed == (tmp_path / "greedy" / name).read_bytes(), name
+        assert replayed == (tmp_path / "offline" / name).read_bytes(), name
 
 
 def current_digests() -> dict[str, dict]:

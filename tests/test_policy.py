@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import random
 import re
 import urllib.error
 import urllib.request
@@ -18,7 +17,6 @@ from prefixsynth.backbone import (
     complete,
     find_candidates,
     init_serial,
-    regroup,
 )
 from prefixsynth.esat import derive_trace, extract_optimal, saturate
 from prefixsynth.graph import Node
@@ -26,7 +24,6 @@ from prefixsynth.policy import (
     Action,
     CriticalPathRefinePolicy,
     DecisionContext,
-    GreedyBackbonePolicy,
     PolicyAbort,
     PolicyError,
     RemoteEndpoint,
@@ -40,9 +37,9 @@ from prefixsynth.policy import (
     system_prompt,
     tool_schemas,
 )
-from prefixsynth.timing import ArrivalProfile, DelayModel, backbone_cost, graph_arrivals
+from prefixsynth.timing import ArrivalProfile, DelayModel, graph_arrivals
 
-from oracles import greedy_decide_ref, random_shape, shape_to_backbone
+from oracles import random_shape, shape_to_backbone
 
 MODEL = DelayModel()
 
@@ -214,95 +211,18 @@ def test_run_phase1_scripted_reproduces_figure() -> None:
     assert result.trace.steps == trace.steps
 
 
-def test_run_phase1_greedy_uniform_four() -> None:
-    result = run_phase1(
-        4, ArrivalProfile.uniform(4), None, 8, GreedyBackbonePolicy()
-    )
-    assert result.finished
-    assert result.iterations <= 3
-    assert result.backbone.stats() == (3, 2)
+def _optimum_replay(width: int, profile: ArrivalProfile) -> ScriptedPolicy:
+    """The offline phase-1 policy: the e-graph optimum's regroup trace."""
+    optimum = extract_optimal(saturate(init_serial(width)), profile, MODEL)
+    return ScriptedPolicy(derive_trace(optimum).steps)
 
 
 def test_run_phase1_width_two_forced_finish() -> None:
-    result = run_phase1(
-        2, ArrivalProfile.uniform(2), None, 4, GreedyBackbonePolicy()
-    )
+    profile = ArrivalProfile.uniform(2)
+    result = run_phase1(2, profile, None, 4, _optimum_replay(2, profile))
     assert result.finished
     assert result.iterations == 1
     assert result.backbone.nodes == init_serial(2).nodes
-
-
-def test_greedy_skewed_three_bits() -> None:
-    # bit 2 arrives late; grouping the early bits first is optimal
-    profile = ArrivalProfile((0.0, 0.0, 2.0))
-    model = DelayModel(node_delay=1.0, margin=0.0)
-    result = run_phase1(3, profile, None, 8, GreedyBackbonePolicy(), model)
-    cost = backbone_cost(result.backbone, profile, model)
-    assert cost == pytest.approx(3.0)
-    eg = saturate(init_serial(3))
-    best = backbone_cost(extract_optimal(eg, profile, model), profile, model)
-    assert cost == pytest.approx(best)
-
-
-@pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
-def test_greedy_matches_extraction_on_uniform(width: int) -> None:
-    profile = ArrivalProfile.uniform(width)
-    result = run_phase1(width, profile, None, 32, GreedyBackbonePolicy())
-    greedy_cost = backbone_cost(result.backbone, profile, MODEL)
-    eg = saturate(init_serial(width))
-    best = backbone_cost(extract_optimal(eg, profile, MODEL), profile, MODEL)
-    assert greedy_cost == pytest.approx(best)
-    lg = (width - 1).bit_length()
-    assert greedy_cost == pytest.approx(lg * MODEL.step)
-
-
-@given(st.integers(2, 8), st.integers(0, 1000))
-@settings(max_examples=30, deadline=None)
-def test_greedy_never_beats_extraction(width: int, seed: int) -> None:
-    profile = ArrivalProfile.randomized(width, seed=seed, high=0.15)
-    result = run_phase1(width, profile, None, 64, GreedyBackbonePolicy())
-    greedy_cost = backbone_cost(result.backbone, profile, MODEL)
-    eg = saturate(init_serial(width))
-    best = backbone_cost(extract_optimal(eg, profile, MODEL), profile, MODEL)
-    assert greedy_cost >= best - 1e-12
-
-
-def _walk_profile(kind: str, width: int, model: DelayModel, seed: int) -> ArrivalProfile:
-    if kind == "tie-heavy":  # whole multiples of step: many exact cost ties
-        rng = random.Random(seed)
-        return ArrivalProfile(tuple(rng.randint(0, 4) * model.step for _ in range(width)))
-    return ArrivalProfile.preset(kind, width, model, seed)
-
-
-@given(
-    width=st.integers(2, 40),
-    kind=st.sampled_from(["uniform", "lsb-first", "random", "tie-heavy"]),
-    model=st.sampled_from([MODEL, DelayModel(node_delay=1.0, margin=0.0)]),
-    target_levels=st.one_of(st.none(), st.integers(0, 48)),
-    seed=st.integers(0, 10_000),
-)
-@settings(max_examples=60, deadline=None)
-def test_greedy_decide_matches_full_recosting(
-    width: int, kind: str, model: DelayModel, target_levels: int | None, seed: int
-) -> None:
-    # Walk random regroups from the serial chain; at every backbone on the
-    # way, the incremental scorer must return the call full re-costing does.
-    profile = _walk_profile(kind, width, model, seed)
-    target = None if target_levels is None else target_levels * model.step
-    rng = random.Random(seed)
-    policy = GreedyBackbonePolicy()
-    bb = init_serial(width)
-    for k in range(1, 2 * width + 2):
-        candidates = tuple(find_candidates(bb))
-        ctx = DecisionContext(
-            phase=1, iteration=k, max_iterations=2 * width + 1, width=width,
-            profile=profile, model=model, target=target,
-            candidates=candidates, backbone=bb,
-        )
-        assert policy.decide(ctx) == greedy_decide_ref(ctx)
-        if not candidates:
-            break
-        bb = regroup(bb, *rng.choice(candidates))
 
 
 def test_deterministic_policies_never_render_state(monkeypatch) -> None:
@@ -312,7 +232,7 @@ def test_deterministic_policies_never_render_state(monkeypatch) -> None:
     monkeypatch.setattr(policy_module, "to_timed_sexpr", refuse)
     monkeypatch.setattr(policy_module, "render_epr", refuse)
     profile = ArrivalProfile.preset("random", 24, MODEL, seed=3)
-    p1 = run_phase1(24, profile, None, 64, GreedyBackbonePolicy(), MODEL)
+    p1 = run_phase1(24, profile, None, 64, _optimum_replay(24, profile), MODEL)
     assert p1.finished and p1.trace.steps
     p2 = run_phase2(complete(p1.backbone), 0.3, 64, CriticalPathRefinePolicy(), profile, MODEL)
     assert p2.actions

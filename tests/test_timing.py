@@ -51,6 +51,12 @@ def test_profile_text_round_trip() -> None:
         ArrivalProfile.from_text("0, 0.1\n2, 0.2\n")  # gap at bit 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_profile_rejects_non_finite_or_negative_arrival(bad: float) -> None:
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        ArrivalProfile((0.0, bad))
+
+
 @given(st.integers(2, 10), st.randoms(use_true_random=False), st.data())
 @settings(max_examples=60, deadline=None)
 def test_backbone_cost_matches_tree_recursion(width, rng, data) -> None:
