@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from prefixsynth.backbone import complete, init_serial
 from prefixsynth.epr import critical_path, render_epr
-from prefixsynth.graph import Node
 from prefixsynth.structures import sklansky_graph
 from prefixsynth.timing import ArrivalProfile, DelayModel, graph_arrivals
 
@@ -33,9 +32,9 @@ def main() -> None:
 
     profile = ArrivalProfile.uniform(4)
     report = graph_arrivals(small, profile, model)
-    chain = critical_path(small, report.arrivals, Node(0, 0), Node(3, 0))
-    print("Critical path from (0,0) to (3,0):")
-    print(chain.render())
+    start, end = report.critical[0], report.critical[-1]
+    print(f"Critical path from {start.token()} to {end.token()}:")
+    print(critical_path(small, report.critical).render())
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Phase 1 replays the regroup trace of the e-graph's min-cost backbone,
 completion fills in the remaining sum outputs, and phase 2 applies
 level/fanout refinements to the full graph until the delay target is met.
-Sweeping the target produces an area-delay trade-off curve.
+Running that flow once per target and timing each design gives one report
+row per target: an area-delay trade-off curve.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from prefixsynth.policy import (
     run_phase2,
 )
 from prefixsynth.structures import sklansky_graph
-from prefixsynth.timing import ArrivalProfile, DelayModel, graph_arrivals, pareto_sweep
+from prefixsynth.timing import ArrivalProfile, DelayModel, SweepRow, graph_arrivals
 
 WIDTH = 32
 
@@ -33,7 +34,9 @@ def main() -> None:
     optimum = extract_optimal(saturate(init_serial(WIDTH)), profile, model)
     steps = derive_trace(optimum).steps
 
-    def synthesize(target: float):
+    print(f"Synthesizing width {WIDTH} across {len(targets)} targets:")
+    rows = []
+    for target in targets:
         phase1 = run_phase1(WIDTH, profile, target, 64, ScriptedPolicy(steps), model)
         graph = complete(phase1.backbone)
         phase2 = run_phase2(
@@ -44,10 +47,8 @@ def main() -> None:
             f"phase2 {phase2.iterations} iters, "
             f"size {phase2.graph.size}, depth {phase2.graph.depth}"
         )
-        return phase2.graph
-
-    print(f"Synthesizing width {WIDTH} across {len(targets)} targets:")
-    rows = pareto_sweep(synthesize, targets, profile, model)
+        report = graph_arrivals(phase2.graph, profile, model, target)
+        rows.append(SweepRow.from_report(phase2.graph, report))
 
     print("\nSweep report (CSV):")
     print(emit_report(rows))

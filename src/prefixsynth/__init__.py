@@ -98,7 +98,6 @@ from .timing import (
     TimingReport,
     backbone_cost,
     graph_arrivals,
-    pareto_sweep,
 )
 
 __version__ = "0.1.0"
@@ -146,7 +145,6 @@ __all__ = [
     "SweepRow",
     "backbone_cost",
     "graph_arrivals",
-    "pareto_sweep",
     # esat
     "EGraph",
     "TraceError",

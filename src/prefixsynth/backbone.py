@@ -116,10 +116,6 @@ class Backbone:
         """Ridge length: how many carry outputs the tree already provides."""
         return len(self.ridge())
 
-    def stats(self) -> tuple[int, int]:
-        """(size, level) of the backbone."""
-        return (len(self.parents), self.level)
-
     def walk(self) -> Iterator[Node]:
         """Internal nodes, smallest spans first."""
         return iter(sorted(self.parents, key=lambda n: (n.span, n.lsb)))

@@ -7,7 +7,7 @@ report, ``export`` emits Verilog for a stored or textbook design, and
 ``verify`` checks a stored design against integer addition.
 
 Exit codes: 0 success, 1 invalid configuration or failed verification,
-2 policy abort (partial trace written when an output directory is set).
+2 policy abort (the aborted run's partial ``trace.txt`` is written).
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .backbone import complete, init_serial
 from .dataio import emit_report, emit_samples, emit_verilog, synthesize_samples
@@ -54,7 +55,7 @@ from .structures import (
     serial_graph,
     sklansky_graph,
 )
-from .timing import ArrivalProfile, DelayModel, SweepRow, graph_arrivals, pareto_sweep
+from .timing import ArrivalProfile, DelayModel, SweepRow, graph_arrivals
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -88,9 +89,12 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> RunConfig:
-        if not 2 <= args.bits <= 256:
-            raise ConfigError(f"--bits must be in [2, 256], got {args.bits}")
-        max_iters = max(64, args.bits) if args.max_iters is None else args.max_iters
+        """``datagen`` runs no phase loop, so it parses neither ``--max-iters``
+        nor ``--policy``; its config carries their defaults."""
+        _check_width(args.bits)
+        max_iters = getattr(args, "max_iters", None)
+        if max_iters is None:
+            max_iters = max(64, args.bits)
         if max_iters < 1:
             raise ConfigError("--max-iters must be >= 1")
         try:
@@ -103,9 +107,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         profile = _resolve_profile(args.profile, args.bits, model, args.seed)
-        target = None
-        if getattr(args, "target", None) is not None:
-            target = _parse_target(args.target)
+        target = None if args.target is None else _parse_target(args.target)
         return cls(
             width=args.bits,
             profile=profile,
@@ -113,9 +115,14 @@ class RunConfig:
             seed=args.seed,
             target=target,
             max_iters=max_iters,
-            policy_spec=args.policy,
+            policy_spec=getattr(args, "policy", "offline"),
             out=args.out,
         )
+
+
+def _check_width(bits: int) -> None:
+    if not 2 <= bits <= 256:
+        raise ConfigError(f"--bits must be in [2, 256], got {bits}")
 
 
 def _parse_target(text: str) -> float:
@@ -148,11 +155,15 @@ def _resolve_profile(
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_policies(cfg: RunConfig) -> tuple[Policy, Policy]:
+def _resolve_policies(cfg: RunConfig) -> Callable[[], tuple[Policy, Policy]]:
+    """Read the policy's inputs once and return a maker of fresh
+    ``(phase 1, phase 2)`` policies, one pair per run: a scripted policy is
+    used up as it replays."""
     spec = cfg.policy_spec
     if spec == "offline":
         optimum = extract_optimal(saturate(init_serial(cfg.width)), cfg.profile, cfg.model)
-        return ScriptedPolicy(derive_trace(optimum).steps), CriticalPathRefinePolicy()
+        steps = derive_trace(optimum).steps
+        return lambda: (ScriptedPolicy(steps), CriticalPathRefinePolicy())
     if spec.startswith("scripted:"):
         path = spec.split(":", 1)[1]
         text = _read_input(path, "script")
@@ -160,7 +171,7 @@ def _resolve_policies(cfg: RunConfig) -> tuple[Policy, Policy]:
             phase1, phase2 = parse_script(text)
         except PolicyError as exc:
             raise _located(path, exc) from exc
-        return ScriptedPolicy(phase1), ScriptedPolicy(phase2)
+        return lambda: (ScriptedPolicy(phase1), ScriptedPolicy(phase2))
     if spec == "remote" or spec.startswith("remote:"):
         try:
             endpoint = (
@@ -171,7 +182,7 @@ def _resolve_policies(cfg: RunConfig) -> tuple[Policy, Policy]:
         except (PolicyError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
         policy = RemoteLlmPolicy(endpoint)
-        return policy, policy
+        return lambda: (policy, policy)
     raise ConfigError(f"unknown policy {spec!r}")
 
 
@@ -220,29 +231,33 @@ def _trace_text(p1: Phase1Result, p2: Phase2Result | None) -> str:
     return "".join(action.to_line() + "\n" for action in actions)
 
 
+def _synthesize(
+    cfg: RunConfig,
+    target: float | None,
+    policies: Callable[[], tuple[Policy, Policy]],
+) -> tuple[Phase1Result, Phase2Result]:
+    """Phase 1, completion and phase 2 for one target.  When a phase aborts,
+    the partial ``trace.txt`` is written to the output directory."""
+    phase1, phase2 = policies()
+    p1: Phase1Result | None = None
+    try:
+        p1 = run_phase1(cfg.width, cfg.profile, target, cfg.max_iters, phase1, cfg.model)
+        p2 = run_phase2(
+            complete(p1.backbone), target, cfg.max_iters, phase2, cfg.profile, cfg.model
+        )
+    except PolicyAbort as exc:
+        if p1 is None:
+            text = _trace_text(exc.partial, None)
+        else:
+            text = _trace_text(p1, exc.partial)
+        _write(cfg.out or ".", "trace.txt", text)
+        raise
+    return p1, p2
+
+
 def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
-    phase1_policy, phase2_policy = _resolve_policies(cfg)
-    out = cfg.out or "."
-    try:
-        p1 = run_phase1(
-            cfg.width, cfg.profile, cfg.target, cfg.max_iters, phase1_policy, cfg.model
-        )
-    except PolicyAbort as exc:
-        partial: Phase1Result = exc.partial
-        _write(out, "trace.txt", _trace_text(partial, None))
-        print(f"synthesize: phase 1 aborted: {exc}", file=sys.stderr)
-        return 2
-    graph = complete(p1.backbone)
-    try:
-        p2 = run_phase2(
-            graph, cfg.target, cfg.max_iters, phase2_policy, cfg.profile, cfg.model
-        )
-    except PolicyAbort as exc:
-        partial2: Phase2Result = exc.partial
-        _write(out, "trace.txt", _trace_text(p1, partial2))
-        print(f"synthesize: phase 2 aborted: {exc}", file=sys.stderr)
-        return 2
+    p1, p2 = _synthesize(cfg, cfg.target, _resolve_policies(cfg))
     graph = p2.graph
 
     report = validate(graph)
@@ -256,6 +271,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         print(f"synthesize: addition check failed: {mismatches[:3]}", file=sys.stderr)
         return 1
 
+    out = cfg.out or "."
     timing = graph_arrivals(graph, cfg.profile, cfg.model, cfg.target)
     row = SweepRow.from_report(graph, timing)
     _write(out, "design.epr", render_epr(graph))
@@ -311,41 +327,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     targets = [_parse_target(t) for t in str(raw_targets).split(",") if t.strip()]
     if not targets:
         raise ConfigError("empty --target list")
-    out = cfg.out or "."
-
-    def synthesize_at(target: float) -> PrefixGraph:
-        phase1_policy, phase2_policy = _resolve_policies(cfg)
-        p1 = run_phase1(
-            cfg.width, cfg.profile, target, cfg.max_iters, phase1_policy, cfg.model
-        )
-        graph = complete(p1.backbone)
-        p2 = run_phase2(
-            graph, target, cfg.max_iters, phase2_policy, cfg.profile, cfg.model
-        )
-        return p2.graph
-
-    try:
-        rows = pareto_sweep(synthesize_at, targets, cfg.profile, cfg.model)
-    except PolicyAbort as exc:
-        print(f"eval: aborted: {exc}", file=sys.stderr)
-        return 2
+    policies = _resolve_policies(cfg)
+    rows = []
+    for target in targets:
+        graph = _synthesize(cfg, target, policies)[1].graph
+        timing = graph_arrivals(graph, cfg.profile, cfg.model, target)
+        rows.append(SweepRow.from_report(graph, timing))
     csv_text = emit_report(rows)
-    path = _write(out, "report.csv", csv_text)
+    path = _write(cfg.out or ".", "report.csv", csv_text)
     sys.stdout.write(csv_text)
     print(f"eval: wrote {path}")
     return 0
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    out = cfg.out or "."
+    _check_width(args.bits)
+    out = args.out or "."
     if args.input is not None:
         graph = parse_epr(_read_input(args.input, "design"))
     else:
-        builder = _STRUCTURES.get(args.structure)
-        if builder is None:
-            raise ConfigError(f"unknown structure {args.structure!r}")
-        graph = builder(cfg.width)
+        graph = _STRUCTURES[args.structure](args.bits)
         _write(out, "design.epr", render_epr(graph))
     path = _write(out, "design.v", emit_verilog(graph, style=args.style))
     print(f"export: wrote {path}")
@@ -371,41 +372,50 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bits", type=int, default=16, help="operand width N")
-    common.add_argument(
+    # Each subcommand takes only the options it reads: export a width and an
+    # output directory, datagen also the timing setup, and synthesize and eval
+    # also a policy and a decision budget.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--bits", type=int, default=16, help="operand width N")
+    output.add_argument("--out", default=None, help="output directory")
+
+    timed = argparse.ArgumentParser(add_help=False)
+    timed.add_argument(
         "--profile",
         default="uniform",
         help="arrival profile: uniform | lsb-first | random | path to a profile file",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for random choices")
-    common.add_argument("--target", default=None, help="target delay (eval: comma list)")
-    common.add_argument(
+    timed.add_argument("--seed", type=int, default=0, help="seed for random choices")
+    timed.add_argument("--target", default=None, help="target delay (eval: comma list)")
+    timed.add_argument("--model-d", type=float, default=0.030, help="node delay d")
+    timed.add_argument("--model-lambda", type=float, default=0.005, help="margin per level")
+    timed.add_argument("--model-beta", type=float, default=0.005, help="fanout penalty")
+    timed.add_argument("--model-k", type=float, default=0.0, help="delay intercept")
+
+    looped = argparse.ArgumentParser(add_help=False)
+    looped.add_argument(
         "--max-iters",
         type=int,
         default=None,
         help="decision budget per phase (default: the larger of 64 and --bits)",
     )
-    common.add_argument(
+    looped.add_argument(
         "--policy",
         default="offline",
         help="offline | scripted:FILE | remote[:CONFIG]",
     )
-    common.add_argument("--model-d", type=float, default=0.030, help="node delay d")
-    common.add_argument("--model-lambda", type=float, default=0.005, help="margin per level")
-    common.add_argument("--model-beta", type=float, default=0.005, help="fanout penalty")
-    common.add_argument("--model-k", type=float, default=0.0, help="delay intercept")
-    common.add_argument("--out", default=None, help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="prefixsynth", description="Prefix-adder synthesis toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synthesize", parents=[common], help="run the two-phase loop")
+    p = sub.add_parser(
+        "synthesize", parents=[output, timed, looped], help="run the two-phase loop"
+    )
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("datagen", parents=[common], help="emit training samples")
+    p = sub.add_parser("datagen", parents=[output, timed], help="emit training samples")
     p.add_argument("--samples", type=int, default=10, help="number of extraction seeds")
     p.add_argument("--eps-scale", type=float, default=1.0, help="extraction noise scale")
     p.add_argument(
@@ -413,10 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_datagen)
 
-    p = sub.add_parser("eval", parents=[common], help="sweep targets into a CSV report")
+    p = sub.add_parser(
+        "eval", parents=[output, timed, looped], help="sweep targets into a CSV report"
+    )
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("export", parents=[common], help="emit Verilog for a design")
+    p = sub.add_parser("export", parents=[output], help="emit Verilog for a design")
     p.add_argument("--input", default=None, help="stored design to export")
     p.add_argument(
         "--structure",
@@ -442,6 +454,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, EprParseError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
+    except PolicyAbort as exc:
+        phase = 1 if isinstance(exc.partial, Phase1Result) else 2
+        print(f"{args.command}: phase {phase} aborted: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,6 @@ single space after ``ntf:``.  Fanout lists distinguish trivial fanout
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ __all__ = [
     "parse_epr",
     "EprParseError",
     "CriticalPath",
-    "PathError",
     "critical_path",
 ]
 
@@ -202,16 +200,11 @@ def parse_epr(text: str) -> PrefixGraph:
     return graph
 
 
-class PathError(GraphError):
-    """No parent chain connects the requested endpoints."""
-
-
 @dataclass(frozen=True)
 class CriticalPath:
     """A start-to-end parent chain with everything needed to render it."""
 
     nodes: tuple[Node, ...]
-    levels: tuple[int, ...]
     theoretical_min: int
     actual: int
     _lines: tuple[str, ...]
@@ -225,52 +218,11 @@ class CriticalPath:
         return f"{body}\n\n{eff}"
 
 
-def _reaches(graph: PrefixGraph, node: Node, start: Node, memo: dict[Node, bool]) -> bool:
-    if node == start:
-        return True
-    cached = memo.get(node)
-    if cached is not None:
-        return cached
-    if node.msb == node.lsb:
-        memo[node] = False
-        return False
-    up, lp = graph.parents[node]
-    result = _reaches(graph, up, start, memo) or _reaches(graph, lp, start, memo)
-    memo[node] = result
-    return result
-
-
-def critical_path(
-    graph: PrefixGraph,
-    arrivals: dict[Node, float],
-    start: Node,
-    end: Node,
-) -> CriticalPath:
-    """Reconstruct the max-arrival parent chain from ``end`` back to ``start``.
-
-    At each step the parent with the larger arrival is taken (upper parent on
-    ties), restricted to parents that can still reach ``start``.
-    """
-    if start not in graph.nodes or end not in graph.nodes:
-        raise PathError("endpoints must be nodes of the graph")
-    if not start.is_input:
-        raise PathError(f"start {start.token()} is not an input")
-    memo: dict[Node, bool] = {}
-    if not _reaches(graph, end, start, memo):
-        raise PathError(f"no parent chain from {start.token()} to {end.token()}")
-
-    chain = [end]
-    current = end
-    while current != start:
-        up, lp = graph.parents[current]
-        viable = [p for p in (up, lp) if _reaches(graph, p, start, memo)]
-        # ties go to the upper parent, which is listed first
-        current = max(viable, key=lambda p: arrivals[p])
-        chain.append(current)
-    chain.reverse()
-
+def critical_path(graph: PrefixGraph, nodes: tuple[Node, ...]) -> CriticalPath:
+    """Render a parent chain, input first, such as
+    :attr:`~prefixsynth.timing.TimingReport.critical`."""
     lines: list[str] = []
-    for node in chain:
+    for node in nodes:
         lvl = graph.level(node)
         tf, ntf = _node_list(graph.tf(node)), _node_list(graph.ntf(node))
         if node.is_input:
@@ -281,11 +233,10 @@ def critical_path(
                 f"Lvl {lvl}:{node.token()},up:{up.token()},lp:{lp.token()},"
                 f" tf:{tf}, ntf:{ntf}"
             )
-    theoretical = (end.span - 1).bit_length()
+    end = nodes[-1]
     return CriticalPath(
-        nodes=tuple(chain),
-        levels=tuple(graph.level(n) for n in chain),
-        theoretical_min=theoretical,
+        nodes=tuple(nodes),
+        theoretical_min=(end.span - 1).bit_length(),
         actual=graph.level(end),
         _lines=tuple(lines),
     )

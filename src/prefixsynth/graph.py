@@ -198,9 +198,6 @@ class PrefixGraph:
 
     # -- completeness -----------------------------------------------------
 
-    def output(self, bit: int) -> Node:
-        return Node(bit, 0) if bit > 0 else Node(0, 0)
-
     def missing_outputs(self) -> list[int]:
         return [
             i for i in range(1, self.width) if Node(i, 0) not in self.nodes
@@ -212,14 +209,10 @@ class PrefixGraph:
 
     # -- editing helpers (return fresh graphs) -----------------------------
 
-    def replace_parents(
-        self,
-        updates: dict[Node, tuple[Node, Node]],
-        new_nodes: Iterable[Node] = (),
-    ) -> PrefixGraph:
+    def replace_parents(self, updates: dict[Node, tuple[Node, Node]]) -> PrefixGraph:
         parents = dict(self.parents)
         parents.update(updates)
-        nodes = set(self.nodes) | set(new_nodes) | set(updates)
+        nodes = set(self.nodes) | set(updates)
         return PrefixGraph(self.width, parents, nodes)
 
 

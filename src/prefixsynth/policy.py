@@ -448,9 +448,7 @@ def run_phase2(
 
     def view(graph: PrefixGraph) -> dict:
         report = graph_arrivals(graph, profile, model, target)
-        critical = critical_path(
-            graph, report.arrivals, report.critical_start, report.critical_end
-        )
+        critical = critical_path(graph, report.critical)
         return {"graph": graph, "report": report, "critical": critical}
 
     def apply(graph: PrefixGraph, action: Action) -> PrefixGraph:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
 
 from .backbone import Backbone, arrival_table
 from .graph import Node, PrefixGraph, deficiency
@@ -23,7 +22,6 @@ __all__ = [
     "SweepRow",
     "backbone_cost",
     "graph_arrivals",
-    "pareto_sweep",
 ]
 
 
@@ -127,18 +125,19 @@ def backbone_cost(
 
 @dataclass(frozen=True)
 class TimingReport:
-    """Arrival annotation of a complete graph against a target delay."""
+    """Arrival annotation of a complete graph against a target delay.
+
+    ``critical`` is the worst path, input first: from the latest output,
+    each step back takes the parent with the larger arrival, the upper
+    parent on ties.
+    """
 
     arrivals: dict[Node, float]
     delay: float
     target: float | None
     slack: float | None
-    critical_start: Node
-    critical_end: Node
+    critical: tuple[Node, ...]
     area: int
-
-    def arrival(self, node: Node) -> float:
-        return self.arrivals[node]
 
 
 def graph_arrivals(
@@ -176,17 +175,16 @@ def graph_arrivals(
     delay = arrivals[end] + model.intercept
     slack = None if target is None else target - delay
 
-    start = end
-    while not start.is_input:
-        up, lp = graph.parents[start]
-        start = max((up, lp), key=lambda p: (arrivals[p], p == up))
+    chain = [end]
+    while not chain[-1].is_input:
+        up, lp = graph.parents[chain[-1]]
+        chain.append(max((up, lp), key=lambda p: (arrivals[p], p == up)))
     return TimingReport(
         arrivals=arrivals,
         delay=delay,
         target=target,
         slack=slack,
-        critical_start=start,
-        critical_end=end,
+        critical=tuple(reversed(chain)),
         area=graph.size,
     )
 
@@ -217,21 +215,3 @@ class SweepRow:
             deficiency=deficiency(graph),
         )
 
-
-def pareto_sweep(
-    synthesize: Callable[[float], PrefixGraph],
-    targets: Iterable[float],
-    profile: ArrivalProfile,
-    model: DelayModel,
-) -> list[SweepRow]:
-    """Run the synthesis callback over a target-delay schedule."""
-    target_list = list(targets)
-    if not target_list:
-        raise ValueError("no targets given")
-    rows: list[SweepRow] = []
-    for t in target_list:
-        graph = synthesize(t)
-        rows.append(
-            SweepRow.from_report(graph, graph_arrivals(graph, profile, model, t))
-        )
-    return rows

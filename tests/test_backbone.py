@@ -42,9 +42,8 @@ group(
 
 
 def test_init_serial_and_balanced_stats() -> None:
-    assert init_serial(8).stats() == (7, 7)
-    assert balanced_backbone(8).stats() == (7, 3)
-    assert init_serial(2).stats() == (1, 1)
+    for bb, level in ((init_serial(8), 7), (balanced_backbone(8), 3), (init_serial(2), 1)):
+        assert (len(bb.parents), bb.level) == (bb.width - 1, level)
 
 
 def test_find_candidates_serial_four() -> None:

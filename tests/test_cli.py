@@ -14,9 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from prefixsynth import cli
 from prefixsynth.cli import main
 from prefixsynth.dataio import parse_samples
 from prefixsynth.epr import parse_epr
+from prefixsynth.esat import extract_optimal
 from prefixsynth.graph import exhaustive_addition_check
 
 
@@ -172,7 +174,68 @@ def test_eval_scripted_illegal_call_aborts(tmp_path: Path, capsys) -> None:
         "--policy", f"scripted:{script}", "--out", str(tmp_path),
     )
     assert rc == 2
-    assert "aborted" in capsys.readouterr().err
+    assert "phase 1 aborted" in capsys.readouterr().err
+    assert (tmp_path / "trace.txt").read_text() == ""
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_eval_extracts_the_optimum_once(tmp_path: Path, monkeypatch) -> None:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extract_optimal(*args)
+
+    monkeypatch.setattr(cli, "extract_optimal", counted)
+    rc = run_cli("eval", "--bits", "16", "--target", "0.18,0.2,0.25", "--out", str(tmp_path))
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def test_eval_reads_its_script_once(tmp_path: Path, monkeypatch) -> None:
+    script = tmp_path / "steps.txt"
+    script.write_text("regroup 3 3 2 2\nfinish1\nfinish2\n")
+    reads = []
+    read_input = cli._read_input
+
+    def counted(path: str, what: str) -> str:
+        reads.append(what)
+        return read_input(path, what)
+
+    monkeypatch.setattr(cli, "_read_input", counted)
+    rc = run_cli(
+        "eval", "--bits", "8", "--target", "0.15,0.2,0.3",
+        "--policy", f"scripted:{script}", "--out", str(tmp_path),
+    )
+    assert rc == 0
+    assert reads == ["script"]
+    rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    # each target replays the whole script, so only target and slack differ
+    fields = [row.split(",") for row in rows]
+    assert len({(f[1], f[2], *f[4:]) for f in fields}) == 1
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        ("export", "--profile"), ("export", "--seed"), ("export", "--target"),
+        ("export", "--max-iters"), ("export", "--policy"), ("export", "--model-d"),
+        ("datagen", "--policy"), ("datagen", "--max-iters"),
+    ],
+)
+def test_subcommand_rejects_options_it_does_not_read(
+    command: str, option: str, tmp_path: Path, capsys
+) -> None:
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--bits", "4", option, "1", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_export_bits_out_of_range_is_config_error(tmp_path: Path, capsys) -> None:
+    assert run_cli("export", "--bits", "1", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("export: --bits must be in [2, 256]")
 
 
 def test_export_structure(tmp_path: Path) -> None:

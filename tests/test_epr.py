@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixsynth.backbone import balanced_backbone, complete, init_serial
-from prefixsynth.epr import (
-    EprParseError,
-    PathError,
-    critical_path,
-    parse_epr,
-    render_epr,
-)
+from prefixsynth.epr import EprParseError, critical_path, parse_epr, render_epr
 from prefixsynth.graph import Node
 from prefixsynth.structures import brent_kung_graph, sklansky_graph
 from prefixsynth.timing import ArrivalProfile, DelayModel, graph_arrivals
@@ -80,35 +74,15 @@ def test_epr_parse_rejects_mangled_text(mangle) -> None:
 
 def test_critical_path_golden_block() -> None:
     g = complete(init_serial(4))
-    profile = ArrivalProfile((0.0350, 0.0350, 0.0250, 0.0150))
-    report = graph_arrivals(g, profile, DelayModel())
-    cp = critical_path(g, report.arrivals, start=Node(0, 0), end=Node(3, 0))
+    cp = critical_path(g, (Node(0, 0), Node(1, 0), Node(2, 0), Node(3, 0)))
     assert cp.render() == CRITICAL_GOLDEN
     assert cp.nodes == (Node(0, 0), Node(1, 0), Node(2, 0), Node(3, 0))
     assert (cp.theoretical_min, cp.actual) == (2, 3)
 
 
-def test_critical_path_respects_reachability() -> None:
-    # from input (3,3) the only chain to (3,0) is the direct upper edge
-    g = complete(init_serial(4))
-    report = graph_arrivals(g, ArrivalProfile.uniform(4), DelayModel())
-    cp = critical_path(g, report.arrivals, start=Node(3, 3), end=Node(3, 0))
-    assert cp.nodes == (Node(3, 3), Node(3, 0))
-
-
-def test_critical_path_errors() -> None:
-    g = complete(balanced_backbone(4))
-    report = graph_arrivals(g, ArrivalProfile.uniform(4), DelayModel())
-    with pytest.raises(PathError):
-        critical_path(g, report.arrivals, start=Node(1, 0), end=Node(3, 0))
-    with pytest.raises(PathError):
-        # (3,2) never feeds (2,0)
-        critical_path(g, report.arrivals, start=Node(3, 3), end=Node(2, 0))
-
-
 def test_critical_path_efficiency_of_balanced_tree() -> None:
     g = complete(balanced_backbone(4))
     report = graph_arrivals(g, ArrivalProfile.uniform(4), DelayModel())
-    cp = critical_path(g, report.arrivals, start=Node(0, 0), end=Node(3, 0))
+    cp = critical_path(g, report.critical)
     assert cp.theoretical_min == 2
     assert cp.actual == 2

@@ -71,8 +71,9 @@ def _digest(path: Path) -> dict:
 
 
 def _run(argv: list[str], out: Path) -> None:
+    seed = [] if argv[0] == "export" else ["--seed", "1"]  # export draws nothing
     with contextlib.redirect_stdout(io.StringIO()):
-        rc = main(argv + ["--seed", "1", "--out", str(out)])
+        rc = main(argv + [*seed, "--out", str(out)])
     assert rc == 0
 
 

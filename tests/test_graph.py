@@ -100,12 +100,13 @@ def test_validate_reports_bad_parent_ranges() -> None:
 def test_replace_parents_is_functional_update() -> None:
     g = serial_graph(4)
     g2 = g.replace_parents(
-        {Node(3, 0): (Node(3, 2), Node(1, 0))},
-        new_nodes=[Node(3, 2)],
+        {Node(3, 2): (Node(3, 3), Node(2, 2)), Node(3, 0): (Node(3, 2), Node(1, 0))}
     )
     assert g.parents[Node(3, 0)] == (Node(3, 3), Node(2, 0))
+    assert Node(3, 2) not in g.nodes
     assert g2.parents[Node(3, 0)] == (Node(3, 2), Node(1, 0))
     assert Node(3, 2) in g2.nodes
+    assert validate(g2).ok
 
 
 @given(

@@ -174,7 +174,7 @@ def test_phase2_prompt_contains_efficiency_line() -> None:
     g = complete(init_serial(4))
     profile = ArrivalProfile((0.0350, 0.0350, 0.0250, 0.0150))
     report = graph_arrivals(g, profile, MODEL, target=0.2)
-    critical = critical_path(g, report.arrivals, Node(0, 0), Node(3, 0))
+    critical = critical_path(g, (Node(0, 0), Node(1, 0), Node(2, 0), Node(3, 0)))
     ctx = DecisionContext(
         phase=2,
         iteration=1,

@@ -14,9 +14,9 @@ from prefixsynth.structures import serial_graph, sklansky_graph
 from prefixsynth.timing import (
     ArrivalProfile,
     DelayModel,
+    SweepRow,
     backbone_cost,
     graph_arrivals,
-    pareto_sweep,
 )
 
 from oracles import random_shape, shape_cost, shape_to_backbone
@@ -78,10 +78,32 @@ def test_graph_arrivals_serial_chain() -> None:
     # fanout-1 chain: every level adds exactly one step
     model = DelayModel(fanout_penalty=0.0)
     report = graph_arrivals(serial_graph(4), ArrivalProfile.uniform(4), model)
-    assert report.arrival(Node(3, 0)) == pytest.approx(3 * model.step)
+    assert report.arrivals[Node(3, 0)] == pytest.approx(3 * model.step)
     assert report.delay == pytest.approx(3 * model.step)
-    assert report.critical_end == Node(3, 0)
-    assert report.critical_start.is_input
+    # (1,0)'s parents arrive together; the tie goes to the upper one
+    assert report.critical == (Node(1, 1), Node(1, 0), Node(2, 0), Node(3, 0))
+
+
+@given(st.integers(2, 12), st.randoms(use_true_random=False), st.data())
+@settings(max_examples=60, deadline=None)
+def test_critical_chain_walks_back_from_the_worst_output(width, rng, data) -> None:
+    graph = complete(shape_to_backbone(random_shape(width - 1, 0, rng)))
+    arrivals = [
+        data.draw(st.floats(0, 1, allow_nan=False, width=16)) for _ in range(width)
+    ]
+    model = DelayModel()
+    report = graph_arrivals(graph, ArrivalProfile(tuple(arrivals)), model)
+    chain = report.critical
+    assert chain[0].is_input and chain[-1].lsb == 0
+    worst = max(report.arrivals[n] for n in graph.nodes if n.lsb == 0)
+    assert report.arrivals[chain[-1]] == worst
+    assert report.delay == worst + model.intercept
+    for parent, child in zip(chain, chain[1:]):
+        up, lp = graph.parents[child]
+        # the parent with the larger arrival, the upper one on ties
+        assert parent in (up, lp)
+        assert parent == up or report.arrivals[up] < report.arrivals[lp]
+        assert parent == lp or report.arrivals[up] >= report.arrivals[lp]
 
 
 def test_graph_arrivals_fanout_penalty() -> None:
@@ -118,29 +140,23 @@ def test_graph_arrivals_rejects_profile_mismatch() -> None:
         graph_arrivals(serial_graph(4), ArrivalProfile.uniform(5), DelayModel())
 
 
-def test_pareto_sweep_rows() -> None:
-    model = DelayModel()
-    prof = ArrivalProfile.uniform(8)
+def _row(graph, target: float | None) -> SweepRow:
+    profile = ArrivalProfile.uniform(graph.width)
+    return SweepRow.from_report(graph, graph_arrivals(graph, profile, DelayModel(), target))
 
-    def synth(target: float):
-        return complete(init_serial(8)) if target > 0.3 else sklansky_graph(8)
 
-    rows = pareto_sweep(synth, [0.1, 0.5], prof, model)
+def test_sweep_rows_from_report() -> None:
+    rows = [_row(sklansky_graph(8), 0.1), _row(complete(init_serial(8)), 0.5)]
     assert [r.target for r in rows] == [0.1, 0.5]
     assert rows[0].area > rows[1].area  # sklansky pays area for speed
     assert rows[0].delay < rows[1].delay
     for row in rows:
         assert row.slack == pytest.approx(row.target - row.delay)
-    with pytest.raises(ValueError):
-        pareto_sweep(synth, [], prof, model)
+    free = _row(sklansky_graph(8), None)  # with no target, the delay stands in
+    assert (free.target, free.slack) == (free.delay, 0.0)
 
 
 def test_sweep_row_levels_match_depth() -> None:
-    rows = pareto_sweep(
-        lambda _t: sklansky_graph(16),
-        [0.5],
-        ArrivalProfile.uniform(16),
-        DelayModel(),
-    )
-    assert rows[0].level == int(math.log2(16))
-    assert rows[0].size == sklansky_graph(16).size
+    row = _row(sklansky_graph(16), 0.5)
+    assert row.level == int(math.log2(16))
+    assert row.size == row.area == sklansky_graph(16).size
