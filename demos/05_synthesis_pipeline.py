@@ -53,9 +53,10 @@ def main() -> None:
     print("\nSweep report (CSV):")
     print(emit_report(rows))
 
-    baseline = graph_arrivals(sklansky_graph(WIDTH), profile, model)
+    sklansky = sklansky_graph(WIDTH)
+    baseline = graph_arrivals(sklansky, profile, model)
     print(
-        f"Sklansky baseline: delay {baseline.delay:.4f}, area {baseline.area} -- "
+        f"Sklansky baseline: delay {baseline.delay:.4f}, area {sklansky.size} -- "
         f"the tightest synthesized point should be competitive at lower area."
     )
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .backbone import Backbone, RegroupError, find_candidates, init_serial, regroup
+from .backbone import RegroupError, init_serial, regroup
 from .graph import IncompleteGraphError, Node, PrefixGraph
 from .policy import (
     Action,
@@ -128,13 +128,14 @@ def synthesize_samples(
             )
             continue
         total = len(trace.steps) + 1
-        ctx = _phase1_context(init_serial(width), 1, total, profile, model, target)
+        ctx = DecisionContext(1, 1, total, profile, model, target, init_serial(width))
         turns: list[SampleTurn] = []
         try:
             for k, step in enumerate(trace.steps, 2):
                 state = build_phase1_prompt(ctx)
-                bb = regroup(ctx.backbone, *step.args)
-                ctx = _phase1_context(bb, k, total, profile, model, target)
+                # The next turn's context also supplies this turn's feedback,
+                # so each backbone renders once.
+                ctx = replace(ctx, iteration=k, backbone=regroup(ctx.backbone, *step.args))
                 feedback = "{}\n{}".format(
                     ctx.state_text.rstrip("\n"), candidates_text(ctx.candidates)
                 )
@@ -158,29 +159,6 @@ def synthesize_samples(
             )
         )
     return samples, diagnostics
-
-
-def _phase1_context(
-    bb: Backbone,
-    iteration: int,
-    max_iterations: int,
-    profile: ArrivalProfile,
-    model: DelayModel,
-    target: float | None,
-) -> DecisionContext:
-    """The context of one sample turn; the next turn's context also supplies
-    the feedback of the turn before it, so each backbone renders once."""
-    return DecisionContext(
-        phase=1,
-        iteration=iteration,
-        max_iterations=max_iterations,
-        width=bb.width,
-        profile=profile,
-        model=model,
-        target=target,
-        candidates=tuple(find_candidates(bb)),
-        backbone=bb,
-    )
 
 
 def emit_samples(samples: list[TrainingSample]) -> str:

@@ -226,25 +226,42 @@ class RegroupTrace:
 class DecisionContext:
     """Everything a policy may look at when deciding the next call.
 
-    The structured fields back the deterministic policies.  ``state_text``
-    is what a language model sees: the timing-annotated s-expression of the
-    backbone in phase 1, the EPR of the graph in phase 2.  It is rendered on
-    first access, so a policy that never reads it never pays for it.
+    The state is the backbone in phase 1 and the graph in phase 2; every
+    view of it is derived on first access, so a policy pays only for what it
+    reads.  ``candidates`` is the phase-1 regroup menu; ``report`` times the
+    phase-2 graph against the target, and ``critical`` renders its critical
+    chain.  ``state_text`` is what a language model sees: the
+    timing-annotated s-expression of the backbone in phase 1, the EPR of the
+    graph in phase 2.
     """
 
     phase: int
     iteration: int
     max_iterations: int
-    width: int
     profile: ArrivalProfile
     model: DelayModel
     target: float | None
-    candidates: tuple[tuple[Node, Node], ...] = ()
     backbone: Backbone | None = None
     graph: PrefixGraph | None = None
-    report: TimingReport | None = None
-    critical: CriticalPath | None = None
     feedback: str | None = None
+
+    @property
+    def width(self) -> int:
+        return (self.backbone if self.phase == 1 else self.graph).width
+
+    @cached_property
+    def candidates(self) -> tuple[tuple[Node, Node], ...]:
+        assert self.backbone is not None
+        return tuple(find_candidates(self.backbone))
+
+    @cached_property
+    def report(self) -> TimingReport:
+        assert self.graph is not None
+        return graph_arrivals(self.graph, self.profile, self.model, self.target)
+
+    @cached_property
+    def critical(self) -> CriticalPath:
+        return critical_path(self.graph, self.report.critical)
 
     @cached_property
     def state_text(self) -> str:
@@ -302,13 +319,12 @@ def build_phase1_prompt(ctx: DecisionContext) -> str:
 
 def build_phase2_prompt(ctx: DecisionContext) -> str:
     """Deterministic phase-two prompt: metrics, EPR, critical path."""
-    report = ctx.report
-    assert report is not None and ctx.graph is not None and ctx.critical is not None
+    graph, report = ctx.graph, ctx.report
     slack_text = "n/a" if report.slack is None else f"{report.slack:.4f}"
     body = [
         f"Metrics: delay={report.delay:.4f}, slack={slack_text}, "
-        f"area={report.area}, max_level={ctx.graph.depth}, "
-        f"max_fanout={ctx.graph.max_fanout()}.",
+        f"area={graph.size}, max_level={graph.depth}, "
+        f"max_fanout={graph.max_fanout()}.",
         "",
         "Current graph (EPR):",
         ctx.state_text.rstrip("\n"),
@@ -355,10 +371,11 @@ class Phase2Result:
 
 class _Phase(NamedTuple):
     """One phase for the shared loop: a context template whose phase names
-    the legal tools, the state's part of each context, the edit, the result."""
+    the legal tools, the context field that holds the state, the edit, the
+    result."""
 
     base: DecisionContext
-    view: Callable[[object], dict]
+    field: str
     apply: Callable[[object, Action], object]
     result: Callable[[object, tuple[Action, ...], int, bool, tuple[str, ...]], object]
 
@@ -377,7 +394,7 @@ def _run(phase: _Phase, state: object, policy: Policy):
     k = 0
     while k < phase.base.max_iterations:
         k += 1
-        ctx = replace(phase.base, iteration=k, feedback=feedback, **phase.view(state))
+        ctx = replace(phase.base, iteration=k, feedback=feedback, **{phase.field: state})
         feedback = None
         try:
             action = policy.decide(ctx)
@@ -422,8 +439,8 @@ def run_phase1(
         raise ValueError("width must be >= 2")
 
     phase = _Phase(
-        DecisionContext(1, 0, max_iterations, width, profile, model, target),
-        lambda bb: {"candidates": tuple(find_candidates(bb)), "backbone": bb},
+        DecisionContext(1, 0, max_iterations, profile, model, target),
+        "backbone",
         lambda bb, action: regroup(bb, *action.args),
         lambda bb, steps, *rest: Phase1Result(bb, RegroupTrace(width, steps), *rest),
     )
@@ -440,23 +457,19 @@ def run_phase2(
 ) -> Phase2Result:
     """Drive the refinement loop over a complete graph.
 
-    Each iteration regenerates the timing report and critical path, then
-    applies one validated tool call; ends on finish2 or the iteration bound.
+    Each iteration hands the policy the current graph, whose timing report
+    and critical path the context derives on demand, then applies one
+    validated tool call; ends on finish2 or the iteration bound.
     """
     if not graph.is_complete:
         raise ValueError("phase 2 requires a complete graph")
-
-    def view(graph: PrefixGraph) -> dict:
-        report = graph_arrivals(graph, profile, model, target)
-        critical = critical_path(graph, report.critical)
-        return {"graph": graph, "report": report, "critical": critical}
 
     def apply(graph: PrefixGraph, action: Action) -> PrefixGraph:
         # Looked up at call time, so a wrapper installed on the module is used.
         return getattr(refine, action.tool)(graph, *action.args)
 
-    base = DecisionContext(2, 0, max_iterations, graph.width, profile, model, target)
-    return _run(_Phase(base, view, apply, Phase2Result), graph, policy)
+    base = DecisionContext(2, 0, max_iterations, profile, model, target)
+    return _run(_Phase(base, "graph", apply, Phase2Result), graph, policy)
 
 
 # -- deterministic policies ----------------------------------------------------
@@ -472,13 +485,14 @@ class CriticalPathRefinePolicy:
     """
 
     def decide(self, ctx: DecisionContext) -> Action:
-        graph, report, critical = ctx.graph, ctx.report, ctx.critical
-        if graph is None or report is None or critical is None:
+        graph = ctx.graph
+        if graph is None:
             raise PolicyError("critical-path policy needs structured state")
+        report = ctx.report
         if report.slack is not None and report.slack >= 0:
             return Action("finish2")
 
-        internal = [n for n in critical.nodes if not n.is_input]
+        internal = [n for n in report.critical if not n.is_input]
         by_gap = sorted(
             internal,
             key=lambda n: (graph.level(n) - (n.span - 1).bit_length(), n),
@@ -494,7 +508,7 @@ class CriticalPathRefinePolicy:
             return Action("level_opt", (node,))
 
         drivers = sorted(
-            (n for n in critical.nodes if graph.fanout(n) >= 2),
+            (n for n in report.critical if graph.fanout(n) >= 2),
             key=lambda n: (graph.fanout(n), n),
             reverse=True,
         )

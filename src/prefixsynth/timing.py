@@ -137,7 +137,6 @@ class TimingReport:
     target: float | None
     slack: float | None
     critical: tuple[Node, ...]
-    area: int
 
 
 def graph_arrivals(
@@ -185,7 +184,6 @@ def graph_arrivals(
         target=target,
         slack=slack,
         critical=tuple(reversed(chain)),
-        area=graph.size,
     )
 
 
@@ -207,7 +205,7 @@ class SweepRow:
         delay stands in for it."""
         return cls(
             target=report.target if report.target is not None else report.delay,
-            area=report.area,
+            area=graph.size,
             delay=report.delay,
             slack=report.slack if report.slack is not None else 0.0,
             size=graph.size,

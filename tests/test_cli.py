@@ -262,8 +262,10 @@ def test_verify_catches_broken_design(tmp_path: Path, capsys) -> None:
     epr_out = tmp_path / "design"
     assert run_cli("synthesize", "--bits", "4", "--out", str(epr_out)) == 0
     path = epr_out / "design.epr"
-    # corrupt one parent pointer: (2,0) now reads the (3,0) output
-    text = path.read_text().replace("up:(2,2),lp:(1,0)", "up:(2,2),lp:(0,0)")
+    # corrupt one parent pointer: (2,0) now reads (0,0) and skips bit 1
+    original = path.read_text()
+    text = original.replace("up:(2,2),lp:(1,0)", "up:(2,2),lp:(0,0)")
+    assert text != original, "the 4-bit design changed; corrupt another pointer"
     broken = tmp_path / "broken.epr"
     broken.write_text(text)
     rc = run_cli("verify", str(broken))

@@ -22,7 +22,7 @@ from prefixsynth.dataio import (
     simulate_verilog,
     synthesize_samples,
 )
-from prefixsynth import dataio, policy
+from prefixsynth import policy
 from prefixsynth.esat import derive_trace
 from prefixsynth.graph import Node
 from prefixsynth.policy import Action, RegroupTrace
@@ -84,7 +84,7 @@ def test_synthesize_samples_renders_each_backbone_once(monkeypatch) -> None:
         monkeypatch.setattr(module, name, wrapper)
 
     counted(policy, "to_timed_sexpr")
-    counted(dataio, "find_candidates")
+    counted(policy, "find_candidates")
     rng = random.Random(5)
     traces = [_trace8(), RegroupTrace(8, ())] + [
         derive_trace(shape_to_backbone(random_shape(7, 0, rng)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import urllib.error
@@ -147,17 +148,14 @@ def test_tool_schemas_phase_split() -> None:
 
 def _phase1_ctx(width: int = 4) -> DecisionContext:
     profile = ArrivalProfile((0.0350, 0.0350, 0.0250, 0.0150))
-    bb = balanced_backbone(width)
     return DecisionContext(
         phase=1,
         iteration=1,
         max_iterations=8,
-        width=width,
         profile=profile,
         model=MODEL,
         target=0.2,
-        candidates=tuple(find_candidates(bb)),
-        backbone=bb,
+        backbone=balanced_backbone(width),
     )
 
 
@@ -169,26 +167,21 @@ def test_phase1_prompt_contains_state_block() -> None:
 
 
 def test_phase2_prompt_contains_efficiency_line() -> None:
-    from prefixsynth.epr import critical_path
-
     g = complete(init_serial(4))
     profile = ArrivalProfile((0.0350, 0.0350, 0.0250, 0.0150))
-    report = graph_arrivals(g, profile, MODEL, target=0.2)
-    critical = critical_path(g, (Node(0, 0), Node(1, 0), Node(2, 0), Node(3, 0)))
     ctx = DecisionContext(
         phase=2,
         iteration=1,
         max_iterations=8,
-        width=4,
         profile=profile,
         model=MODEL,
         target=0.2,
         graph=g,
-        report=report,
-        critical=critical,
     )
     prompt = build_phase2_prompt(ctx)
+    assert ctx.report.critical == (Node(1, 1), Node(1, 0), Node(2, 0), Node(3, 0))
     assert "Lvl efficiency:2/3" in prompt
+    assert f"area={g.size}," in prompt
     assert build_phase2_prompt(ctx) == prompt
 
 
@@ -226,13 +219,15 @@ def test_run_phase1_width_two_forced_finish() -> None:
 
 
 def test_deterministic_policies_never_render_state(monkeypatch) -> None:
-    def refuse(*args, **kwargs):
-        raise AssertionError("prompt state rendered for a policy that never reads it")
-
-    monkeypatch.setattr(policy_module, "to_timed_sexpr", refuse)
-    monkeypatch.setattr(policy_module, "render_epr", refuse)
     profile = ArrivalProfile.preset("random", 24, MODEL, seed=3)
-    p1 = run_phase1(24, profile, None, 64, _optimum_replay(24, profile), MODEL)
+    replay = _optimum_replay(24, profile)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a view derived for a policy that never reads it")
+
+    for name in ("to_timed_sexpr", "render_epr", "find_candidates", "critical_path"):
+        monkeypatch.setattr(policy_module, name, refuse)
+    p1 = run_phase1(24, profile, None, 64, replay, MODEL)
     assert p1.finished and p1.trace.steps
     p2 = run_phase2(complete(p1.backbone), 0.3, 64, CriticalPathRefinePolicy(), profile, MODEL)
     assert p2.actions
@@ -244,6 +239,26 @@ def test_state_text_is_rendered_on_first_access() -> None:
     text = ctx.state_text
     assert text.startswith("(3,0) [arrival=")
     assert vars(ctx)["state_text"] is text
+
+
+def test_context_holds_state_and_derives_its_views() -> None:
+    fields = {f.name for f in dataclasses.fields(DecisionContext)}
+    assert fields == {
+        "phase", "iteration", "max_iterations", "profile", "model", "target",
+        "backbone", "graph", "feedback",
+    }
+    ctx = _phase1_ctx()
+    assert ctx.width == 4
+    assert "candidates" not in vars(ctx)
+    assert ctx.candidates == tuple(find_candidates(ctx.backbone))
+    assert vars(ctx)["candidates"] is ctx.candidates
+
+    g = complete(init_serial(8))
+    ctx = DecisionContext(2, 1, 8, ArrivalProfile.uniform(8), MODEL, 0.2, graph=g)
+    assert not {"report", "critical"} & set(vars(ctx))
+    assert ctx.report == graph_arrivals(g, ctx.profile, MODEL, 0.2)
+    assert ctx.critical.nodes == ctx.report.critical
+    assert vars(ctx)["critical"] is ctx.critical
 
 
 def test_run_phase1_respects_iteration_bound() -> None:
