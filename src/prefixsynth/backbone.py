@@ -16,12 +16,9 @@ from the serial chain reach every tree shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
 
 from .graph import Node, PrefixGraph
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .timing import ArrivalProfile, DelayModel
+from .timing import ArrivalProfile, DelayModel, graph_arrivals
 
 __all__ = [
     "Backbone",
@@ -115,10 +112,6 @@ class Backbone:
     def level(self) -> int:
         """Ridge length: how many carry outputs the tree already provides."""
         return len(self.ridge())
-
-    def walk(self) -> Iterator[Node]:
-        """Internal nodes, smallest spans first."""
-        return iter(sorted(self.parents, key=lambda n: (n.span, n.lsb)))
 
 
 def init_serial(width: int) -> Backbone:
@@ -231,19 +224,6 @@ def complete(bb: Backbone) -> PrefixGraph:
     return PrefixGraph(bb.width, parents)
 
 
-def arrival_table(
-    bb: Backbone, profile: ArrivalProfile, model: DelayModel
-) -> dict[Node, float]:
-    """Arrival of every leaf and internal node: leaves arrive at their input
-    time, every group at ``max(up, lp) + step``, smallest spans first."""
-    parents = bb.parents
-    arrivals: dict[Node, float] = {Node(i, i): profile[i] for i in range(bb.width)}
-    for node in bb.walk():
-        up, lp = parents[node]
-        arrivals[node] = max(arrivals[up], arrivals[lp]) + model.step
-    return arrivals
-
-
 def to_timed_sexpr(
     bb: Backbone, profile: ArrivalProfile, model: DelayModel
 ) -> str:
@@ -253,7 +233,7 @@ def to_timed_sexpr(
     operand closes on its own line; trailing groups collapse their closing
     parentheses onto the final leaf.
     """
-    arrivals = arrival_table(bb, profile, model)
+    arrivals = graph_arrivals(bb, profile, model).arrivals
     parents = bb.parents
     lines: list[str] = []
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import GraphError, Node, PrefixGraph, parse_node_token
+from .graph import GraphError, Node, PrefixGraph, parse_node_token, validate
 
 __all__ = [
     "render_epr",
@@ -123,7 +123,6 @@ def parse_epr(text: str) -> PrefixGraph:
 
     stated_fanout: dict[Node, tuple[list[Node], list[Node]]] = {}
     lineno = 6
-    inputs: list[Node] = []
     while lineno < len(lines) and lines[lineno] != "":
         m = _INPUT_RE.fullmatch(lines[lineno])
         if m is None:
@@ -131,15 +130,20 @@ def parse_epr(text: str) -> PrefixGraph:
         node = parse_node_token(m.group("node"))
         if not node.is_input:
             raise EprParseError(f"line {lineno + 1}: {node.token()} is not an input")
-        inputs.append(node)
+        if node.msb >= width:
+            raise EprParseError(
+                f"line {lineno + 1}: input {node.token()} is outside width {width}"
+            )
+        if node in stated_fanout:
+            raise EprParseError(f"line {lineno + 1}: duplicate input {node.token()}")
         stated_fanout[node] = (
             _parse_list(m.group("tf"), lineno + 1),
             _parse_list(m.group("ntf"), lineno + 1),
         )
         lineno += 1
-    if len(inputs) != width:
+    if len(stated_fanout) != width:
         raise EprParseError(
-            f"expected {width} input lines, found {len(inputs)}"
+            f"expected {width} input lines, found {len(stated_fanout)}"
         )
 
     if expect(lineno, "blank line") != "":
@@ -176,9 +180,7 @@ def parse_epr(text: str) -> PrefixGraph:
             f"header says {n_internal} non-input nodes, found {len(parents)}"
         )
 
-    graph = PrefixGraph(width, parents, nodes=set(inputs) | set(parents))
-    from .graph import validate  # local import to keep module load light
-
+    graph = PrefixGraph(width, parents)
     report = validate(graph)
     if not report.ok:
         raise EprParseError("; ".join(report.violations))

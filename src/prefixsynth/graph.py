@@ -84,27 +84,22 @@ def parse_node_token(token: str) -> Node:
 
 
 class PrefixGraph:
-    """A prefix graph: node set plus the (up, lp) parent map.
+    """A prefix graph: the (up, lp) parent map over ``width`` bits.
 
-    Instances are treated as immutable once built; editing passes construct a
-    fresh graph.  Derived data (levels, consumer lists) is computed lazily
-    and cached.
+    The parent map is the structure; ``nodes`` is derived from it as the
+    inputs plus the keys of ``parents``.  Instances are treated as immutable
+    once built; editing passes construct a fresh graph.  Other derived data
+    (levels, consumer lists) is computed lazily and cached.
     """
 
     def __init__(
-        self,
-        width: int,
-        parents: dict[Node, tuple[Node, Node]] | None = None,
-        nodes: Iterable[Node] | None = None,
+        self, width: int, parents: dict[Node, tuple[Node, Node]] | None = None
     ) -> None:
         self.width = width
         self.parents: dict[Node, tuple[Node, Node]] = dict(parents or {})
-        if nodes is None:
-            node_set = {Node(i, i) for i in range(width)}
-            node_set.update(self.parents)
-        else:
-            node_set = set(nodes)
-        self.nodes: frozenset[Node] = frozenset(node_set)
+        self.nodes: frozenset[Node] = frozenset(self.parents).union(
+            Node(i, i) for i in range(width)
+        )
         self._levels: dict[Node, int] | None = None
         self._consumers: dict[Node, tuple[Node, ...]] | None = None
 
@@ -113,14 +108,10 @@ class PrefixGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrefixGraph):
             return NotImplemented
-        return (
-            self.width == other.width
-            and self.nodes == other.nodes
-            and self.parents == other.parents
-        )
+        return self.width == other.width and self.parents == other.parents
 
     def __hash__(self) -> int:
-        return hash((self.width, self.nodes, frozenset(self.parents.items())))
+        return hash((self.width, frozenset(self.parents.items())))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PrefixGraph(width={self.width}, size={self.size})"
@@ -210,10 +201,7 @@ class PrefixGraph:
     # -- editing helpers (return fresh graphs) -----------------------------
 
     def replace_parents(self, updates: dict[Node, tuple[Node, Node]]) -> PrefixGraph:
-        parents = dict(self.parents)
-        parents.update(updates)
-        nodes = set(self.nodes) | set(updates)
-        return PrefixGraph(self.width, parents, nodes)
+        return PrefixGraph(self.width, {**self.parents, **updates})
 
 
 @dataclass
@@ -234,10 +222,6 @@ def validate(graph: PrefixGraph) -> ValidationReport:
         v.append(f"width must be >= 1, got {graph.width}")
         return ValidationReport(False, v)
 
-    for i in range(graph.width):
-        if Node(i, i) not in graph.nodes:
-            v.append(f"missing input node ({i},{i})")
-
     for n in sorted(graph.nodes):
         if not (0 <= n.lsb <= n.msb < graph.width):
             v.append(f"{n.token()}: bit range out of bounds for width {graph.width}")
@@ -249,9 +233,6 @@ def validate(graph: PrefixGraph) -> ValidationReport:
                 v.append(f"{n.token()}: inputs cannot be cloned")
             if n in graph.parents:
                 v.append(f"{n.token()}: input node must not have parents")
-            continue
-        if n not in graph.parents:
-            v.append(f"{n.token()}: missing parent record")
             continue
         up, lp = graph.parents[n]
         for p, role in ((up, "upper"), (lp, "lower")):
@@ -265,10 +246,6 @@ def validate(graph: PrefixGraph) -> ValidationReport:
             v.append(f"{n.token()}: lp.msb != up.lsb-1")
         if lp.lsb != n.lsb:
             v.append(f"{n.token()}: lp.lsb != lsb")
-
-    for n in graph.parents:
-        if n not in graph.nodes:
-            v.append(f"{n.token()}: parent record for unknown node")
 
     return ValidationReport(not v, v)
 

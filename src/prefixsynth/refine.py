@@ -157,22 +157,14 @@ def node_clone(graph: PrefixGraph, target: Node) -> PrefixGraph:
 def prune_dead(graph: PrefixGraph) -> PrefixGraph:
     """Drop internal nodes that feed nothing and drive no carry output."""
     parents = dict(graph.parents)
-    nodes = set(graph.nodes)
     while True:
-        cons: dict[Node, int] = {n: 0 for n in nodes}
-        for up, lp in parents.values():
-            cons[up] += 1
-            cons[lp] += 1
+        used = {p for pair in parents.values() for p in pair}
         dead = [
             n
-            for n in nodes
-            if not n.is_input
-            and cons[n] == 0
-            and not (n.lsb == 0 and n.instance == 0)
+            for n in parents
+            if n not in used and not (n.lsb == 0 and n.instance == 0)
         ]
         if not dead:
-            break
+            return PrefixGraph(graph.width, parents)
         for n in dead:
-            nodes.discard(n)
             del parents[n]
-    return PrefixGraph(graph.width, parents, nodes)

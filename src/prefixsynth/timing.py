@@ -1,19 +1,23 @@
-"""Delay model, arrival profiles, and the lightweight timing views: tree
-cost for backbones and levelized arrival propagation for full graphs.
+"""Delay model, arrival profiles, and arrival propagation.
 
 The model is linear in logic depth: a path through ``x`` nodes costs
-``step * x + intercept`` where ``step = node_delay + margin``.  Graph
-propagation additionally charges ``fanout_penalty`` per extra consumer on
-the driving node.
+``step * x + intercept`` where ``step = node_delay + margin``, plus
+``fanout_penalty`` per extra consumer on each driving node.  One loop,
+:func:`graph_arrivals`, times backbones and graphs alike: it reads only a
+structure's ``width`` and ``parents``, and a tree, whose nodes each drive
+one consumer, pays no fanout penalty.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .backbone import Backbone, arrival_table
 from .graph import Node, PrefixGraph, deficiency
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .backbone import Backbone
 
 __all__ = [
     "DelayModel",
@@ -120,12 +124,12 @@ def backbone_cost(
 ) -> float:
     """Arrival at the tree root: leaves cost their input arrival, every
     group adds one step."""
-    return arrival_table(bb, profile, model)[bb.root]
+    return graph_arrivals(bb, profile, model).arrivals[bb.root]
 
 
 @dataclass(frozen=True)
 class TimingReport:
-    """Arrival annotation of a complete graph against a target delay.
+    """Arrival annotation of a graph or backbone against a target delay.
 
     ``critical`` is the worst path, input first: from the latest output,
     each step back takes the parent with the larger arrival, the upper
@@ -140,44 +144,45 @@ class TimingReport:
 
 
 def graph_arrivals(
-    graph: PrefixGraph,
+    graph: PrefixGraph | Backbone,
     profile: ArrivalProfile,
     model: DelayModel,
     target: float | None = None,
 ) -> TimingReport:
-    """Propagate arrivals through a complete graph.
+    """Propagate arrivals through a graph or a backbone.
 
     ``arrival(n) = max over parents p of arrival(p) + step +
     fanout_penalty * (fanout(p) - 1)``; the reported delay is the worst
     output arrival plus the model intercept.
     """
-    if len(profile) != graph.width:
-        raise ValueError(
-            f"profile has {len(profile)} entries for width {graph.width}"
-        )
-    arrivals: dict[Node, float] = {}
-    for node in graph.topological():
-        if node.msb == node.lsb:
-            arrivals[node] = profile[node.msb]
-        else:
-            up, lp = graph.parents[node]
-            arrivals[node] = max(
-                arrivals[p]
-                + model.step
-                + model.fanout_penalty * (graph.fanout(p) - 1)
-                for p in (up, lp)
-            )
+    width, parents = graph.width, graph.parents
+    if len(profile) != width:
+        raise ValueError(f"profile has {len(profile)} entries for width {width}")
+    fanout: dict[Node, int] = {}
+    for up, lp in parents.values():
+        fanout[up] = fanout.get(up, 0) + 1
+        fanout[lp] = fanout.get(lp, 0) + 1
+    step, penalty = model.step, model.fanout_penalty
+    arrivals = {Node(i, i): profile[i] for i in range(width)}
+    # A parent spans fewer bits than its consumers: ascending span is a
+    # dependency order.
+    for node in sorted(parents, key=lambda n: (n.msb - n.lsb, n.lsb, n.instance)):
+        up, lp = parents[node]
+        a = arrivals[up] + step + penalty * (fanout[up] - 1)
+        b = arrivals[lp] + step + penalty * (fanout[lp] - 1)
+        arrivals[node] = a if a >= b else b
 
-    outputs = [Node(0, 0)] + [Node(i, 0) for i in range(1, graph.width)]
-    outputs = [o for o in outputs if o in graph.nodes]
-    end = max(outputs, key=lambda o: (arrivals[o], o))
+    end = max(
+        (n for n in arrivals if n.lsb == 0 and n.instance == 0),
+        key=lambda o: (arrivals[o], o),
+    )
     delay = arrivals[end] + model.intercept
     slack = None if target is None else target - delay
 
     chain = [end]
     while not chain[-1].is_input:
-        up, lp = graph.parents[chain[-1]]
-        chain.append(max((up, lp), key=lambda p: (arrivals[p], p == up)))
+        up, lp = parents[chain[-1]]
+        chain.append(up if arrivals[up] >= arrivals[lp] else lp)
     return TimingReport(
         arrivals=arrivals,
         delay=delay,

@@ -72,6 +72,29 @@ def test_epr_parse_rejects_mangled_text(mangle) -> None:
         parse_epr(mangle(text))
 
 
+@pytest.mark.parametrize(
+    ("line", "old", "new"),
+    [
+        (9, "(2,2), tf: [(2,0)]", "(1,1), tf: [(1,0)]"),  # repeated input
+        (10, "(3,3), tf:", "(9,9), tf:"),  # input outside the width
+    ],
+)
+def test_epr_parse_names_the_bad_input_line(line, old, new) -> None:
+    text = render_epr(complete(init_serial(4)))
+    bad = text.replace(old, new)
+    assert bad != text
+    with pytest.raises(EprParseError, match=f"^line {line}: "):
+        parse_epr(bad)
+
+
+def test_epr_parse_accepts_reordered_input_lines() -> None:
+    g = sklansky_graph(8)
+    lines = render_epr(g).splitlines(keepends=True)
+    assert lines[5] == "Input nodes:\n" and lines[14] == "\n"
+    lines[6:14] = reversed(lines[6:14])
+    assert parse_epr("".join(lines)) == g
+
+
 def test_critical_path_golden_block() -> None:
     g = complete(init_serial(4))
     cp = critical_path(g, (Node(0, 0), Node(1, 0), Node(2, 0), Node(3, 0)))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from prefixsynth.backbone import complete, init_serial
 from prefixsynth.graph import Node
+from prefixsynth.refine import RefinementError, fanout_opt, level_opt, node_clone
 from prefixsynth.structures import serial_graph, sklansky_graph
 from prefixsynth.timing import (
     ArrivalProfile,
@@ -19,7 +20,7 @@ from prefixsynth.timing import (
     graph_arrivals,
 )
 
-from oracles import random_shape, shape_cost, shape_to_backbone
+from oracles import random_shape, shape_cost, shape_range, shape_to_backbone
 
 
 def test_delay_model_defaults() -> None:
@@ -66,12 +67,24 @@ def test_backbone_cost_matches_tree_recursion(width, rng, data) -> None:
         for _ in range(width)
     ]
     model = DelayModel()
-    got = backbone_cost(
-        shape_to_backbone(shape),
-        ArrivalProfile(tuple(arrivals)),
-        model,
-    )
+    bb = shape_to_backbone(shape)
+    profile = ArrivalProfile(tuple(arrivals))
+    got = backbone_cost(bb, profile, model)
     assert got == pytest.approx(shape_cost(shape, arrivals, model.step))
+
+    # Every tree node drives one consumer, so no node pays a fanout penalty
+    # and each arrival is exactly its subtree's recursion.
+    expected: dict[Node, float] = {}
+
+    def visit(sub) -> None:
+        lsb, msb = shape_range(sub)
+        expected[Node(msb, lsb)] = shape_cost(sub, arrivals, model.step)
+        if not isinstance(sub, int):
+            visit(sub[0])
+            visit(sub[1])
+
+    visit(shape)
+    assert graph_arrivals(bb, profile, model).arrivals == expected
 
 
 def test_graph_arrivals_serial_chain() -> None:
@@ -104,6 +117,40 @@ def test_critical_chain_walks_back_from_the_worst_output(width, rng, data) -> No
         assert parent in (up, lp)
         assert parent == up or report.arrivals[up] < report.arrivals[lp]
         assert parent == lp or report.arrivals[up] >= report.arrivals[lp]
+
+
+@given(st.integers(2, 12), st.randoms(use_true_random=False), st.data())
+@settings(max_examples=60, deadline=None)
+def test_graph_arrivals_charge_each_parent_its_fanout(width, rng, data) -> None:
+    graph = complete(shape_to_backbone(random_shape(width - 1, 0, rng)))
+    for _ in range(rng.randint(0, 12)):
+        target = rng.choice(sorted(graph.nodes))
+        tool = rng.choice((level_opt, fanout_opt, node_clone))
+        args = (target,)
+        if tool is fanout_opt:
+            if not graph.consumers(target):
+                continue
+            args += (rng.choice(graph.consumers(target)),)
+        try:
+            graph = tool(graph, *args)
+        except RefinementError:
+            pass
+    arrivals = [
+        data.draw(st.floats(0, 1, allow_nan=False, width=16)) for _ in range(width)
+    ]
+    model = DelayModel()
+    report = graph_arrivals(graph, ArrivalProfile(tuple(arrivals)), model)
+    assert report.arrivals.keys() == graph.nodes
+    for node in graph.nodes:
+        if node.is_input:
+            assert report.arrivals[node] == arrivals[node.msb]
+            continue
+        assert report.arrivals[node] == max(
+            report.arrivals[p]
+            + model.step
+            + model.fanout_penalty * (graph.fanout(p) - 1)
+            for p in graph.parents[node]
+        )
 
 
 def test_graph_arrivals_fanout_penalty() -> None:
