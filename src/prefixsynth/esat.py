@@ -14,10 +14,20 @@ compactly encodes all Catalan(n-1) tree shapes.  Extraction runs a
 bottom-up dynamic program over the ranges under the tree cost model; a
 seeded perturbed variant draws diverse low-cost shapes from the same
 e-graph.
+
+Both extractions share one DP.  It keeps each range's cost plus one step
+in a row table ``ready[lo][hi]`` and a column table ``ready_by_hi[hi][lo]``,
+so all split points of a class are scanned as two list slices.  It visits
+classes in (span, lsb) order and splits in ascending order, and every
+e-node costs ``max(low, high) + step`` plus one noise value in that order;
+the seeded noise stream and the tie-break make the perturbed samples, and
+so the datagen goldens, depend on exactly this order.
 """
 from __future__ import annotations
 
 import math
+from itertools import islice, repeat
+from operator import add, mul
 from random import Random
 from typing import Iterable, Iterator
 
@@ -97,39 +107,56 @@ def _extract(
     model: DelayModel,
     noise: Iterator[float] | None,
 ) -> Backbone:
-    """Min-cost DP over the ranges.  ``noise`` supplies one value per
-    e-node, in class order and then split order, added to that e-node's
-    cost.  Ties prefer the cheaper high operand, then the smaller split."""
+    """Min-cost DP over the ranges.
+
+    An e-node costs ``max(low, high) + step`` plus its ``noise`` value.
+    Rounded float addition is monotone, so that sum equals
+    ``max(low + step, high + step)``: the row table ``ready[lo][hi]`` and
+    its transpose ``ready_by_hi[hi][lo]`` hold ``cost + step``, and the
+    splits of ``[lo, hi]`` read the slices ``ready[lo][lo:hi]`` (low
+    operands) and ``ready_by_hi[hi][lo+1:hi+1]`` (high operands).
+    ``cost_by_hi`` keeps the unrounded costs for the tie-break, since two
+    high operands one ulp apart can round to one ``cost + step``: ties
+    prefer the cheaper high operand, then the smaller split.  ``noise``
+    supplies one value per e-node, leaves first, then classes in (span,
+    lsb) order and splits in ascending order."""
     step = model.step
-    best_cost: dict[tuple[int, int], float] = {}
-    best_split: dict[tuple[int, int], int] = {}
+    width = eg.width
+    ready = [[0.0] * width for _ in range(width)]
+    ready_by_hi = [[0.0] * width for _ in range(width)]
+    cost_by_hi = [[0.0] * width for _ in range(width)]
+    best_split = [[0] * width for _ in range(width)]
     for lo, hi in eg.classes():
         if lo == hi:
-            cost = profile[lo]
+            best = profile[lo]
             if noise is not None:
-                cost += next(noise)
-            best_cost[lo, hi] = cost
-            continue
-        chosen: tuple[float, float, int] | None = None
-        for k in eg.splits(lo, hi):
-            high = best_cost[k, hi]
-            cost = max(best_cost[lo, k - 1], high) + step
+                best += next(noise)
+        else:
+            scan = map(max, ready[lo][lo:hi], ready_by_hi[hi][lo + 1 : hi + 1])
             if noise is not None:
-                cost += next(noise)
-            if chosen is None or (cost, high, k) < chosen:
-                chosen = (cost, high, k)
-        best_cost[lo, hi], _, best_split[lo, hi] = chosen
+                scan = map(add, scan, islice(noise, hi - lo))
+            costs = list(scan)
+            best = min(costs)
+            if costs.count(best) == 1:
+                best_split[lo][hi] = lo + 1 + costs.index(best)
+            else:
+                highs = cost_by_hi[hi][lo + 1 : hi + 1]
+                best, _, best_split[lo][hi] = min(
+                    zip(costs, highs, eg.splits(lo, hi))
+                )
+        cost_by_hi[hi][lo] = best
+        ready[lo][hi] = ready_by_hi[hi][lo] = best + step
 
     parents: dict[Node, tuple[Node, Node]] = {}
 
     def build(lo: int, hi: int) -> Node:
         if lo < hi:
-            k = best_split[lo, hi]
+            k = best_split[lo][hi]
             parents[Node(hi, lo)] = (build(k, hi), build(lo, k - 1))
         return Node(hi, lo)
 
     build(*eg.root)
-    return Backbone(eg.width, parents)
+    return Backbone(width, parents)
 
 
 def extract_optimal(
@@ -150,15 +177,17 @@ def extract_perturbed(
     seed: int,
     eps_scale: float = 1.0,
 ) -> Backbone:
-    """Extraction with seeded per-e-node noise in ``[0, eps_scale * step]``.
+    """Extraction with seeded per-e-node noise in ``[0, eps_scale * step)``.
 
+    The interval is half-open: each draw is ``eps_scale * step * r`` for a
+    ``Random(seed).random()`` value ``r``, which is never 1.
     ``eps_scale=0`` reproduces :func:`extract_optimal` exactly.
     """
     if eps_scale < 0:
         raise ValueError("eps_scale must be >= 0")
-    rng = Random(seed)
     bound = eps_scale * model.step
-    noise = (rng.uniform(0.0, bound) for _ in range(eg.n_enodes))
+    # Random.uniform(0.0, bound) is 0.0 + bound * random(): the same draws.
+    noise = map(mul, repeat(bound), iter(Random(seed).random, None))
     return _extract(eg, profile, model, noise)
 
 

@@ -91,6 +91,52 @@ def shape_range(shape: tuple | int) -> tuple[int, int]:
     return (shape_range(shape[1])[0], shape_range(shape[0])[1])
 
 
+def extract_ref(
+    times: Sequence[float],
+    step: float,
+    seed: int | None = None,
+    bound: float = 0.0,
+) -> Backbone:
+    """Min-cost tree by the plain O(n^3) range DP, one e-node at a time.
+
+    A range ``[lo, hi]`` split at ``k`` (the lsb of the high operand) costs
+    ``max(cost[lo, k-1], cost[k, hi]) + step``; ties prefer the cheaper
+    high operand, then the smaller split.  With a ``seed``, every e-node's
+    cost gains one ``Random(seed).uniform(0.0, bound)`` draw, taken leaves
+    first, then ranges in (span, lsb) order and splits in ascending order.
+    """
+    width = len(times)
+    rng = random.Random(seed) if seed is not None else None
+    best_cost: dict[tuple[int, int], float] = {}
+    best_split: dict[tuple[int, int], int] = {}
+    for span in range(width):
+        for lo in range(width - span):
+            hi = lo + span
+            if span == 0:
+                cost = times[lo]
+                if rng is not None:
+                    cost += rng.uniform(0.0, bound)
+                best_cost[lo, hi] = cost
+                continue
+            chosen: tuple[float, float, int] | None = None
+            for k in range(lo + 1, hi + 1):
+                high = best_cost[k, hi]
+                cost = max(best_cost[lo, k - 1], high) + step
+                if rng is not None:
+                    cost += rng.uniform(0.0, bound)
+                if chosen is None or (cost, high, k) < chosen:
+                    chosen = (cost, high, k)
+            best_cost[lo, hi], _, best_split[lo, hi] = chosen
+
+    def shape(lo: int, hi: int) -> tuple | int:
+        if lo == hi:
+            return lo
+        k = best_split[lo, hi]
+        return (shape(k, hi), shape(lo, k - 1))
+
+    return shape_to_backbone(shape(0, width - 1))
+
+
 # ---------------------------------------------------------------------------
 # Generic saturation under associativity
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from prefixsynth.timing import ArrivalProfile, DelayModel, backbone_cost
 from oracles import (
     all_shapes,
     catalan_ref,
+    extract_ref,
     random_shape,
     saturate_ref,
     shape_cost,
@@ -97,6 +98,59 @@ def test_extraction_tie_break_uniform(width: int, text: str) -> None:
     eg = saturate(init_serial(width))
     got = extract_optimal(eg, ArrivalProfile.uniform(width), DelayModel())
     assert got == text_to_backbone(text)
+
+
+MODELS = [DelayModel(), DelayModel(node_delay=0.1, margin=0.0)]
+
+
+@given(
+    st.integers(2, 40),
+    st.sampled_from([None, "uniform", "lsb-first", "random"]),
+    st.lists(st.integers(0, 6), min_size=40, max_size=40),
+    st.sampled_from(MODELS),
+    st.integers(0, 2**32),
+    st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_extraction_matches_reference_dp(
+    width: int,
+    preset: str | None,
+    levels: list[int],
+    model: DelayModel,
+    seed: int,
+    eps: float,
+) -> None:
+    # preset None draws arrivals on a half-step grid, so costs tie often
+    if preset is None:
+        profile = ArrivalProfile(tuple(g * model.step / 2 for g in levels[:width]))
+    else:
+        profile = ArrivalProfile.preset(preset, width, model, seed=seed)
+    times = list(profile.times)
+    eg = saturate(init_serial(width))
+    assert extract_optimal(eg, profile, model) == extract_ref(times, model.step)
+    assert extract_perturbed(
+        eg, profile, model, seed=seed, eps_scale=eps
+    ) == extract_ref(times, model.step, seed=seed, bound=eps * model.step)
+
+
+@pytest.mark.parametrize("width", [64, 128])
+@pytest.mark.parametrize("preset", ["uniform", "lsb-first", "random"])
+def test_wide_extraction_matches_reference_dp(width: int, preset: str) -> None:
+    model = DelayModel()
+    profile = ArrivalProfile.preset(preset, width, model, seed=width)
+    got = extract_optimal(saturate(init_serial(width)), profile, model)
+    assert got == extract_ref(list(profile.times), model.step)
+
+
+def test_extraction_tie_break_reads_unrounded_costs() -> None:
+    # the root's splits 3 and 4 tie; their high operands cost 0.25 and one
+    # ulp less, which both round to 0.285 once a step is added, so only the
+    # unrounded costs pick split 4
+    times = (0.0, 0.18, 0.0, 0.18, 0.0, 0.17999999999999997, 0.0)
+    model = DelayModel()
+    got = extract_optimal(saturate(init_serial(7)), ArrivalProfile(times), model)
+    assert got == extract_ref(times, model.step)
+    assert got == text_to_backbone("(o (o (o i0 i1) (o i2 i3)) (o (o i4 i5) i6))")
 
 
 def test_perturbed_extraction_zero_eps_is_optimal() -> None:
