@@ -4,8 +4,8 @@ Regroup moves generate exactly the Catalan-many binary associations of the
 carry cone.  The e-graph saturated under the associativity rewrite captures
 them all compactly and has a closed form: one e-class per bit range and one
 e-node per split point.  Dynamic-programming extraction over the ranges then
-finds the minimum-cost tree for a given arrival profile, and a regroup trace
-to reach it is derived.
+finds the minimum-cost tree for a given arrival profile, and a phase-1 walk
+from the serial chain reaches it one regroup at a time.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from prefixsynth.backbone import init_serial
 from prefixsynth.esat import (
     catalan,
     count_trees,
-    derive_trace,
     design_space_log10,
     extract_optimal,
     saturate,
 )
+from prefixsynth.policy import BackboneWalkPolicy, run_phase1
 from prefixsynth.timing import ArrivalProfile, DelayModel, backbone_cost
 
 
@@ -49,9 +49,10 @@ def main() -> None:
         f"  extracted cost {backbone_cost(best, profile, model):.4f}"
     )
 
-    trace = derive_trace(best)
-    print(f"\nRegroup trace reaching the optimum ({len(trace.steps)} steps):")
-    for step in trace.steps:
+    walk = run_phase1(width, profile, None, width, BackboneWalkPolicy(best), model)
+    assert walk.finished and walk.backbone == best
+    print(f"\nRegroup trace reaching the optimum ({len(walk.trace.steps)} steps):")
+    for step in walk.trace.steps:
         print(step.to_line())
 
 

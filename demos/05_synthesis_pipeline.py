@@ -1,6 +1,6 @@
-"""Two-phase synthesis: backbone replay, completion, structural refinement.
+"""Two-phase synthesis: backbone walk, completion, structural refinement.
 
-Phase 1 replays the regroup trace of the e-graph's min-cost backbone,
+Phase 1 walks from the serial chain to the e-graph's min-cost backbone,
 completion fills in the remaining sum outputs, and phase 2 applies
 level/fanout refinements to the full graph until the delay target is met.
 Running that flow once per target and timing each design gives one report
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from prefixsynth.backbone import complete, init_serial
 from prefixsynth.dataio import emit_report
-from prefixsynth.esat import derive_trace, extract_optimal, saturate
+from prefixsynth.esat import extract_optimal, saturate
 from prefixsynth.policy import (
+    BackboneWalkPolicy,
     CriticalPathRefinePolicy,
-    ScriptedPolicy,
     run_phase1,
     run_phase2,
 )
@@ -32,12 +32,12 @@ def main() -> None:
     slow = graph_arrivals(complete(init_serial(WIDTH)), profile, model).delay
     targets = [fast + (slow - fast) * i / 3 for i in range(4)]
     optimum = extract_optimal(saturate(init_serial(WIDTH)), profile, model)
-    steps = derive_trace(optimum).steps
 
     print(f"Synthesizing width {WIDTH} across {len(targets)} targets:")
     rows = []
     for target in targets:
-        phase1 = run_phase1(WIDTH, profile, target, 64, ScriptedPolicy(steps), model)
+        walk = BackboneWalkPolicy(optimum)
+        phase1 = run_phase1(WIDTH, profile, target, 64, walk, model)
         graph = complete(phase1.backbone)
         phase2 = run_phase2(
             graph, target, 64, CriticalPathRefinePolicy(), profile, model

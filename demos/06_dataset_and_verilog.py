@@ -3,7 +3,8 @@
 Perturbed extraction draws diverse near-optimal backbones from the interval
 e-graph (one e-class per bit range, one e-node per split point); the
 deficiency filter keeps those whose completion adds no extra
-depth.  Each survivor's regroup trace becomes a multi-turn tool-call sample.
+depth.  Each survivor becomes a multi-turn tool-call sample, recorded from a
+phase-1 run that walks the serial chain to it.
 Finally a refined design is emitted as structural Verilog and re-simulated.
 """
 
@@ -19,7 +20,6 @@ from prefixsynth.dataio import (
     synthesize_samples,
 )
 from prefixsynth.esat import (
-    derive_trace,
     extract_perturbed,
     filter_low_deficiency,
     saturate,
@@ -46,9 +46,9 @@ def main() -> None:
         f"{len(unique)} unique, {len(kept)} pass the deficiency filter"
     )
 
-    traces = [derive_trace(bb) for bb in kept]
-    samples, diagnostics = synthesize_samples(traces, WIDTH, profile, model)
-    print(f"synthesized {len(samples)} samples, {len(diagnostics)} diagnostics")
+    samples = synthesize_samples(kept, profile, model)
+    turns = sum(len(sample.turns) for sample in samples)
+    print(f"synthesized {len(samples)} samples, {turns} turns")
 
     text = emit_samples(samples)
     first_line = text.splitlines()[0]

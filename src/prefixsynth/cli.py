@@ -16,13 +16,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TextIO
 
 from .backbone import complete, init_serial
 from .dataio import emit_report, emit_samples, emit_verilog, synthesize_samples
 from .epr import EprParseError, parse_epr, render_epr
 from .esat import (
-    derive_trace,
     extract_optimal,
     extract_perturbed,
     filter_low_deficiency,
@@ -36,6 +35,7 @@ from .graph import (
 )
 from .policy import (
     Action,
+    BackboneWalkPolicy,
     CriticalPathRefinePolicy,
     Phase1Result,
     Phase2Result,
@@ -89,8 +89,9 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> RunConfig:
-        """``datagen`` runs no phase loop, so it parses neither ``--max-iters``
-        nor ``--policy``; its config carries their defaults."""
+        """``datagen`` walks phase 1 to each sample's backbone on a budget
+        of its own, so it parses neither ``--max-iters`` nor ``--policy``;
+        its config carries their defaults."""
         _check_width(args.bits)
         max_iters = getattr(args, "max_iters", None)
         if max_iters is None:
@@ -162,8 +163,7 @@ def _resolve_policies(cfg: RunConfig) -> Callable[[], tuple[Policy, Policy]]:
     spec = cfg.policy_spec
     if spec == "offline":
         optimum = extract_optimal(saturate(init_serial(cfg.width)), cfg.profile, cfg.model)
-        steps = derive_trace(optimum).steps
-        return lambda: (ScriptedPolicy(steps), CriticalPathRefinePolicy())
+        return lambda: (BackboneWalkPolicy(optimum), CriticalPathRefinePolicy())
     if spec.startswith("scripted:"):
         path = spec.split(":", 1)[1]
         text = _read_input(path, "script")
@@ -206,12 +206,15 @@ def _located(path: str, exc: Exception) -> ConfigError:
     return ConfigError(f"{path}: {exc}")
 
 
-def _write(out_dir: str, name: str, content: str) -> str:
+def _create(out_dir: str, name: str) -> TextIO:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
+    return open(os.path.join(out_dir, name), "w", encoding="utf-8")
+
+
+def _write(out_dir: str, name: str, content: str) -> str:
+    with _create(out_dir, name) as fh:
         fh.write(content)
-    return path
+    return fh.name
 
 
 def _check_addition(graph: PrefixGraph, seed: int) -> list[tuple[int, int]]:
@@ -304,16 +307,16 @@ def cmd_datagen(args: argparse.Namespace) -> int:
         ]
     unique = list(dict.fromkeys(shapes))
     kept = filter_low_deficiency(unique, args.threshold)
-    traces = [derive_trace(bb) for bb in kept]
-    samples, diagnostics = synthesize_samples(
-        traces, cfg.width, cfg.profile, cfg.model, cfg.target
-    )
-    path = _write(out, "samples.jsonl", emit_samples(samples))
-    for diag in diagnostics:
-        print(f"datagen: skipped {diag}", file=sys.stderr)
+    written = 0
+    # One backbone at a time, so only one sample's text is held at once.
+    with _create(out, "samples.jsonl") as fh:
+        for bb in kept:
+            samples = synthesize_samples([bb], cfg.profile, cfg.model, cfg.target)
+            fh.write(emit_samples(samples))
+            written += len(samples)
     print(
         f"datagen: generated={len(shapes)} unique={len(unique)} "
-        f"kept={len(kept)} written={len(samples)} -> {path}"
+        f"kept={len(kept)} written={written} -> {fh.name}"
     )
     return 0
 

@@ -2,7 +2,9 @@
 
 Samples follow the tool-calling chat format: a system prompt plus one turn
 per decision, each turn carrying the serialized state, an empty think slot
-for external filling, the tool-call record, and the tool feedback.  The
+for external filling, the tool-call record, and the tool feedback.  Each
+sample is recorded from a :func:`~prefixsynth.policy.run_phase1` walk to one
+backbone, so its prompts come from the served loop's own contexts.  The
 Verilog emitters produce gate-level netlists in two styles; a small netlist
 interpreter closes the loop so emitted designs can be checked against
 integer addition without external tools.
@@ -12,16 +14,18 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .backbone import RegroupError, init_serial, regroup
+from .backbone import Backbone
 from .graph import IncompleteGraphError, Node, PrefixGraph
 from .policy import (
     Action,
+    BackboneWalkPolicy,
     DecisionContext,
-    RegroupTrace,
+    Policy,
     build_phase1_prompt,
     candidates_text,
+    run_phase1,
     system_prompt,
 )
 from .timing import ArrivalProfile, DelayModel, SweepRow
@@ -59,7 +63,7 @@ class SampleTurn:
 
 @dataclass(frozen=True, eq=True)
 class TrainingSample:
-    """A full tool-calling conversation derived from one regroup trace."""
+    """A full tool-calling conversation recorded from one phase-1 run."""
 
     system: str
     width: int
@@ -104,61 +108,58 @@ class TrainingSample:
             raise SampleFormatError(f"malformed sample record: {exc}") from exc
 
 
+class _Recorder:
+    """Passes a policy's decisions through and keeps each context with the
+    call made on it."""
+
+    def __init__(self, policy: Policy) -> None:
+        self.policy = policy
+        self.turns: list[tuple[DecisionContext, Action]] = []
+
+    def decide(self, ctx: DecisionContext) -> Action:
+        action = self.policy.decide(ctx)
+        self.turns.append((ctx, action))
+        return action
+
+
 def synthesize_samples(
-    traces: list[RegroupTrace],
-    width: int,
+    backbones: list[Backbone],
     profile: ArrivalProfile,
     model: DelayModel = DelayModel(),
     target: float | None = None,
-) -> tuple[list[TrainingSample], list[str]]:
-    """Turn regroup traces into chat-format samples.
+) -> list[TrainingSample]:
+    """One chat-format sample per backbone, recorded from a phase-1 run that
+    walks the serial chain to it.
 
-    Each regroup step becomes one turn whose feedback is the post-step
-    annotated s-expression plus the fresh candidate menu; a finishing turn
-    closes every sample.  Traces that fail to replay are skipped, with one
-    diagnostic string per skip.
+    The run's budget is ``width - level``: one decision per regroup plus the
+    finish.  Each turn shows the prompt the run's context builds; a regroup
+    turn's feedback is the next context's annotated s-expression plus its
+    candidate menu, so each backbone renders once.
     """
-    samples: list[TrainingSample] = []
-    diagnostics: list[str] = []
     system = system_prompt(1)
-    for index, trace in enumerate(traces):
-        if trace.width != width:
-            diagnostics.append(
-                f"trace {index}: width {trace.width} != expected {width}"
-            )
-            continue
-        total = len(trace.steps) + 1
-        ctx = DecisionContext(1, 1, total, profile, model, target, init_serial(width))
-        turns: list[SampleTurn] = []
-        try:
-            for k, step in enumerate(trace.steps, 2):
-                state = build_phase1_prompt(ctx)
-                # The next turn's context also supplies this turn's feedback,
-                # so each backbone renders once.
-                ctx = replace(ctx, iteration=k, backbone=regroup(ctx.backbone, *step.args))
-                feedback = "{}\n{}".format(
-                    ctx.state_text.rstrip("\n"), candidates_text(ctx.candidates)
-                )
-                turns.append(SampleTurn(state=state, call=step.to_json(), feedback=feedback))
-        except RegroupError as exc:
-            diagnostics.append(f"trace {index}: {exc}")
-            continue
-        turns.append(
-            SampleTurn(
-                state=build_phase1_prompt(ctx),
-                call=Action("finish1").to_json(),
-                feedback="backbone accepted; phase 1 complete",
-            )
+    samples = []
+    for bb in backbones:
+        recorder = _Recorder(BackboneWalkPolicy(bb))
+        run_phase1(bb.width, profile, target, bb.width - bb.level, recorder, model)
+        contexts, calls = zip(*recorder.turns)
+        feedback = [
+            "{}\n{}".format(ctx.state_text.rstrip("\n"), candidates_text(ctx.candidates))
+            for ctx in contexts[1:]
+        ]
+        feedback.append("backbone accepted; phase 1 complete")
+        turns = tuple(
+            SampleTurn(state=build_phase1_prompt(ctx), call=call.to_json(), feedback=text)
+            for ctx, call, text in zip(contexts, calls, feedback)
         )
         samples.append(
             TrainingSample(
                 system=system,
-                width=width,
-                turns=tuple(turns),
-                metadata={"think_filled": False, "steps": len(trace.steps)},
+                width=bb.width,
+                turns=turns,
+                metadata={"think_filled": False, "steps": len(turns) - 1},
             )
         )
-    return samples, diagnostics
+    return samples
 
 
 def emit_samples(samples: list[TrainingSample]) -> str:

@@ -13,7 +13,7 @@ e-node per split point ``k = lo+1..hi`` (operands ``[lo, k-1]`` and
 compactly encodes all Catalan(n-1) tree shapes.  Extraction runs a
 bottom-up dynamic program over the ranges under the tree cost model; a
 seeded perturbed variant draws diverse low-cost shapes from the same
-e-graph.
+e-graph.  Phase 1 reaches an extracted tree with ``BackboneWalkPolicy``.
 
 Both extractions share one DP.  It keeps each range's cost plus one step
 in a row table ``ready[lo][hi]`` and a column table ``ready_by_hi[hi][lo]``,
@@ -31,19 +31,16 @@ from operator import add, mul
 from random import Random
 from typing import Iterable, Iterator
 
-from .backbone import Backbone, complete, find_candidates, init_serial, regroup
+from .backbone import Backbone, complete
 from .graph import Node
-from .policy import Action, RegroupTrace
 from .timing import ArrivalProfile, DelayModel
 
 __all__ = [
     "EGraph",
-    "TraceError",
     "saturate",
     "count_trees",
     "extract_optimal",
     "extract_perturbed",
-    "derive_trace",
     "filter_low_deficiency",
     "catalan",
     "design_space_log10",
@@ -189,37 +186,6 @@ def extract_perturbed(
     # Random.uniform(0.0, bound) is 0.0 + bound * random(): the same draws.
     noise = map(mul, repeat(bound), iter(Random(seed).random, None))
     return _extract(eg, profile, model, noise)
-
-
-class TraceError(Exception):
-    """No regroup schedule reaches the requested backbone."""
-
-
-def derive_trace(target: Backbone) -> RegroupTrace:
-    """Compute a regroup schedule that rebuilds ``target`` from the serial
-    backbone.
-
-    Greedy: at every step apply the lowest-column candidate whose created
-    node belongs to the target and whose removed ridge node does not.
-    """
-    wanted = target.nodes
-    bb = init_serial(target.width)
-    steps: list[Action] = []
-    limit = len(wanted - bb.nodes)
-    while bb != target:
-        applicable = [
-            (a, b)
-            for a, b in find_candidates(bb)
-            if Node(a.msb, b.lsb) in wanted and Node(b.msb, 0) not in wanted
-        ]
-        if not applicable or len(steps) >= limit:
-            raise TraceError(
-                "internal error: no applicable regroup towards target"
-            )
-        a, b = min(applicable, key=lambda ab: (ab[0].msb, ab[1].msb))
-        bb = regroup(bb, a, b)
-        steps.append(Action("regroup", (a, b)))
-    return RegroupTrace(target.width, tuple(steps))
 
 
 def filter_low_deficiency(

@@ -2,11 +2,12 @@
 
 Phase one edits the backbone with regroup calls; phase two refines the
 completed graph with level/fanout/clone tools.  Policies are pluggable:
-deterministic ones (scripted replay, critical-path refinement) keep
-everything offline, while :class:`RemoteLlmPolicy` speaks a
-chat-completions JSON protocol to an external model.  The offline flow
-replays the regroup trace of the e-graph's min-cost backbone through
-:class:`ScriptedPolicy`, so every phase-1 run shares one trace form.  The
+deterministic ones (a walk to a target backbone, scripted replay,
+critical-path refinement) keep everything offline, while
+:class:`RemoteLlmPolicy` speaks a chat-completions JSON protocol to an
+external model.  The offline flow walks phase 1 to the e-graph's min-cost
+backbone with :class:`BackboneWalkPolicy`, and datagen records its samples
+from the same walk, so served and recorded episodes share one loop.  The
 orchestrators validate every tool call before applying it, feed rejection
 reasons back to the policy, and abort with the partial trace once a policy
 misbehaves three times in a row.
@@ -50,6 +51,7 @@ __all__ = [
     "Phase2Result",
     "run_phase1",
     "run_phase2",
+    "BackboneWalkPolicy",
     "CriticalPathRefinePolicy",
     "ScriptedPolicy",
     "RemoteEndpoint",
@@ -211,12 +213,6 @@ class RegroupTrace:
 
     width: int
     steps: tuple[Action, ...]
-
-    def replay(self) -> Backbone:
-        bb = init_serial(self.width)
-        for step in self.steps:
-            bb = regroup(bb, *step.args)
-        return bb
 
 
 # -- context and prompts ------------------------------------------------------
@@ -473,6 +469,31 @@ def run_phase2(
 
 
 # -- deterministic policies ----------------------------------------------------
+
+
+class BackboneWalkPolicy:
+    """Phase-one walk from the serial chain to ``target``.
+
+    Each step applies the lowest-column candidate whose created node
+    ``(a.msb, b.lsb)`` belongs to the target.  The ridge node
+    ``(b.msb, 0)`` it removes then does not, since the two ranges overlap
+    without nesting, so a walk takes ``width - 1 - level`` regroups and then
+    finishes.  The offline flow walks to the e-graph optimum; datagen
+    records its samples from walks to the filtered extractions.
+    """
+
+    def __init__(self, target: Backbone) -> None:
+        self.target = target
+        self._wanted = target.nodes
+
+    def decide(self, ctx: DecisionContext) -> Action:
+        if ctx.backbone == self.target:
+            return Action("finish1")
+        # Candidates come highest column first.
+        for a, b in reversed(ctx.candidates):
+            if Node(a.msb, b.lsb) in self._wanted:
+                return Action("regroup", (a, b))
+        raise PolicyError("no regroup leads towards the target backbone")
 
 
 class CriticalPathRefinePolicy:

@@ -84,6 +84,36 @@ def shape_to_backbone(shape: tuple | int) -> Backbone:
     return Backbone.from_parents(root.msb + 1, parents)
 
 
+def walk_ref(target: Backbone) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Regroup steps ``((a.msb, a.lsb), (b.msb, b.lsb))`` from the serial
+    chain to ``target``, by a plain-dict greedy: at each step rotate at the
+    lowest ridge node whose rotation creates a target node and removes a
+    ridge node the target does not have."""
+    width = target.width
+    wanted = {(n.msb, n.lsb) for n in target.parents}
+    tree = {(m, 0): ((m, m), (m - 1, 0)) for m in range(1, width)}
+    steps = []
+    while set(tree) != wanted:
+        applicable = []
+        for i in range(2, width):
+            if (i, 0) not in tree:
+                continue
+            a, lower = tree[(i, 0)]
+            if lower[0] == lower[1]:
+                continue
+            b = tree[lower][0]
+            created = (a[0], b[1])
+            if created not in tree and created in wanted and (b[0], 0) not in wanted:
+                applicable.append((a, b))
+        assert applicable, "no regroup leads towards the target"
+        a, b = min(applicable, key=lambda ab: (ab[0][0], ab[1][0]))
+        rest = tree.pop((b[0], 0))[1]
+        tree[(a[0], b[1])] = (a, b)
+        tree[(a[0], 0)] = ((a[0], b[1]), rest)
+        steps.append((a, b))
+    return steps
+
+
 def shape_range(shape: tuple | int) -> tuple[int, int]:
     """(lsb, msb) of the bits a shape covers."""
     if isinstance(shape, int):

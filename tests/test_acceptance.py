@@ -25,7 +25,6 @@ from prefixsynth.epr import critical_path, render_epr
 from prefixsynth.esat import (
     catalan,
     count_trees,
-    derive_trace,
     design_space_log10,
     extract_optimal,
     extract_perturbed,
@@ -34,8 +33,8 @@ from prefixsynth.esat import (
 )
 from prefixsynth.graph import Node, validate
 from prefixsynth.policy import (
+    BackboneWalkPolicy,
     CriticalPathRefinePolicy,
-    ScriptedPolicy,
     run_phase1,
     run_phase2,
 )
@@ -79,10 +78,10 @@ def _report(num: int, label: str, ok: bool, elapsed: float, budget: float) -> No
 
 
 def _offline_phase1(width: int, profile: ArrivalProfile, target: float | None):
-    """Phase 1 of the default offline flow: replay the regroup trace of the
-    e-graph's min-cost backbone, with the CLI's default budget."""
+    """Phase 1 of the default offline flow: walk to the e-graph's min-cost
+    backbone, with the CLI's default budget."""
     optimum = extract_optimal(saturate(init_serial(width)), profile, MODEL)
-    policy = ScriptedPolicy(derive_trace(optimum).steps)
+    policy = BackboneWalkPolicy(optimum)
     return run_phase1(width, profile, target, max(64, width), policy, MODEL)
 
 
@@ -185,21 +184,27 @@ def test_criterion_04_extraction_optimality() -> None:
     )
 
 
+def _walk_reaches(target) -> bool:
+    width = target.width
+    profile = ArrivalProfile.uniform(width)
+    policy = BackboneWalkPolicy(target)
+    result = run_phase1(width, profile, None, width - target.level, policy, MODEL)
+    return result.finished and result.backbone == target
+
+
 def test_criterion_05_trace_soundness() -> None:
     t0 = time.perf_counter()
     ok = True
     for width in range(2, 9):
         for shape in all_shapes(width - 1, 0):
-            target = shape_to_backbone(shape)
-            ok = ok and derive_trace(target).replay().nodes == target.nodes
+            ok = ok and _walk_reaches(shape_to_backbone(shape))
     rng = random.Random(20260825)
     for _ in range(100):
         width = rng.randint(2, 12)
-        target = shape_to_backbone(random_shape(width - 1, 0, rng))
-        ok = ok and derive_trace(target).replay().nodes == target.nodes
+        ok = ok and _walk_reaches(shape_to_backbone(random_shape(width - 1, 0, rng)))
     _report(
         5,
-        "derived traces replay to their targets",
+        "phase-1 walks reach their targets in width - level decisions",
         ok,
         time.perf_counter() - t0,
         30.0,
@@ -391,9 +396,8 @@ def test_criterion_10_datagen_filter() -> None:
             for i in range(32)
         ]
         kept = filter_low_deficiency(list(dict.fromkeys(exprs)), threshold=0)
-        traces = [derive_trace(e) for e in kept]
-        samples, diagnostics = synthesize_samples(traces, width, profile, MODEL)
-        ok = ok and not diagnostics
+        samples = synthesize_samples(kept, profile, MODEL)
+        ok = ok and len(samples) == len(kept)
         total += len(samples)
         for sample in samples:
             bb = init_serial(width)

@@ -15,11 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prefixsynth import cli
+from prefixsynth.backbone import init_serial, regroup
 from prefixsynth.cli import main
 from prefixsynth.dataio import parse_samples
 from prefixsynth.epr import parse_epr
 from prefixsynth.esat import extract_optimal
 from prefixsynth.graph import exhaustive_addition_check
+from prefixsynth.policy import Action, RemoteEndpoint, RemoteLlmPolicy, run_phase1
+from prefixsynth.timing import ArrivalProfile, DelayModel
 
 
 def run_cli(*argv: str) -> int:
@@ -112,6 +115,44 @@ def test_datagen_emits_jsonl(tmp_path: Path) -> None:
     for sample in samples:
         assert sample.width == 6
         assert sample.metadata["think_filled"] is False
+
+
+@pytest.mark.parametrize("bits", [16, 32])
+def test_datagen_samples_are_the_served_prompts(bits: int, tmp_path: Path) -> None:
+    # Serve each sample back through the remote policy, answering every
+    # prompt with the sample's call: the model must be shown exactly what
+    # it was trained on, and the run must rebuild the sample's backbone.
+    rc = run_cli(
+        "datagen", "--bits", str(bits), "--profile", "random", "--seed", "5",
+        "--target", "0.5", "--samples", "4", "--threshold", "6",
+        "--out", str(tmp_path),
+    )
+    assert rc == 0
+    samples = parse_samples((tmp_path / "samples.jsonl").read_text())
+    assert samples
+    model = DelayModel()
+    profile = ArrivalProfile.preset("random", bits, model, 5)
+    for sample in samples:
+        calls = [Action.from_json(turn.call) for turn in sample.turns]
+        replies = iter(json.dumps(turn.call) for turn in sample.turns)
+        seen: list[list[dict]] = []
+
+        def transport(messages: list[dict]) -> str:
+            seen.append(messages)
+            return next(replies)
+
+        policy = RemoteLlmPolicy(RemoteEndpoint("http://unused"), transport)
+        result = run_phase1(bits, profile, 0.5, len(sample.turns), policy, model)
+        assert [m[0] for m in seen] == [{"role": "system", "content": sample.system}] * len(seen)
+        assert [m[1:] for m in seen] == [
+            [{"role": "user", "content": turn.state}] for turn in sample.turns
+        ]
+        expected = init_serial(bits)
+        for call in calls[:-1]:
+            expected = regroup(expected, *call.args)
+        assert calls[-1] == Action("finish1")
+        assert result.finished
+        assert result.backbone == expected
 
 
 def test_eval_sweeps_target_list(tmp_path: Path) -> None:

@@ -23,52 +23,35 @@ from prefixsynth.dataio import (
     synthesize_samples,
 )
 from prefixsynth import policy
-from prefixsynth.esat import derive_trace
 from prefixsynth.graph import Node
-from prefixsynth.policy import Action, RegroupTrace
 from prefixsynth.structures import brent_kung_graph, kogge_stone_graph, sklansky_graph
 from prefixsynth.timing import ArrivalProfile, DelayModel, SweepRow
 
 from oracles import random_shape, shape_to_backbone
 
 
-def _trace8() -> RegroupTrace:
-    return derive_trace(balanced_backbone(8))
-
-
 def test_synthesize_samples_shape() -> None:
-    samples, diagnostics = synthesize_samples(
-        [_trace8()], 8, ArrivalProfile.uniform(8)
-    )
-    assert diagnostics == []
+    samples = synthesize_samples([balanced_backbone(8)], ArrivalProfile.uniform(8))
     assert len(samples) == 1
     sample = samples[0]
     assert sample.width == 8
     # one turn per regroup plus the finishing turn
-    assert len(sample.turns) == len(_trace8().steps) + 1
+    assert len(sample.turns) == 5
     assert sample.metadata == {"think_filled": False, "steps": 4}
     for turn in sample.turns:
         assert turn.think == THINK_SLOT
     assert sample.turns[-1].call == {"tool": "finish1", "args": {}}
+    # the budget is one decision per regroup plus the finish
+    assert "Iteration 5 of 5." in sample.turns[-1].state
 
 
 def test_sample_turns_carry_fresh_feedback() -> None:
-    samples, _ = synthesize_samples([_trace8()], 8, ArrivalProfile.uniform(8))
+    samples = synthesize_samples([balanced_backbone(8)], ArrivalProfile.uniform(8))
     first = samples[0].turns[0]
     # feedback shows the post-step tree and the next candidate menu
     assert "[arrival=" in first.feedback
     assert "candidates" in first.feedback.lower()
     assert first.call["tool"] == "regroup"
-
-
-def test_synthesize_samples_diagnostics() -> None:
-    bad_width = RegroupTrace(6, _trace8().steps)
-    illegal = RegroupTrace(8, (Action("regroup", (Node(9, 9), Node(8, 8))),))
-    samples, diagnostics = synthesize_samples(
-        [bad_width, illegal, _trace8()], 8, ArrivalProfile.uniform(8)
-    )
-    assert len(samples) == 1
-    assert len(diagnostics) == 2
 
 
 def test_synthesize_samples_renders_each_backbone_once(monkeypatch) -> None:
@@ -86,22 +69,19 @@ def test_synthesize_samples_renders_each_backbone_once(monkeypatch) -> None:
     counted(policy, "to_timed_sexpr")
     counted(policy, "find_candidates")
     rng = random.Random(5)
-    traces = [_trace8(), RegroupTrace(8, ())] + [
-        derive_trace(shape_to_backbone(random_shape(7, 0, rng)))
-        for _ in range(4)
+    backbones = [balanced_backbone(8), init_serial(8)] + [
+        shape_to_backbone(random_shape(7, 0, rng)) for _ in range(4)
     ]
-    samples, _ = synthesize_samples(traces, 8, ArrivalProfile.uniform(8))
-    # every trace visits the serial start plus one backbone per step
-    backbones = sum(len(trace.steps) + 1 for trace in traces)
-    assert len(samples) == len(traces)
-    assert calls == {"to_timed_sexpr": backbones, "find_candidates": backbones}
+    samples = synthesize_samples(backbones, ArrivalProfile.uniform(8))
+    # every walk visits the serial start plus one backbone per step
+    visited = sum(bb.width - bb.level for bb in backbones)
+    assert len(samples) == len(backbones)
+    assert calls == {"to_timed_sexpr": visited, "find_candidates": visited}
 
 
 def test_emit_parse_round_trip() -> None:
-    samples, _ = synthesize_samples(
-        [derive_trace(balanced_backbone(8)), RegroupTrace(8, ())],
-        8,
-        ArrivalProfile.uniform(8),
+    samples = synthesize_samples(
+        [balanced_backbone(8), init_serial(8)], ArrivalProfile.uniform(8)
     )
     text = emit_samples(samples)
     assert text.count("\n") == len(samples)

@@ -1,4 +1,4 @@
-"""Equality saturation, extraction, and regroup-trace derivation."""
+"""Equality saturation, extraction, and the regroup walk to extracted trees."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from prefixsynth.backbone import balanced_backbone, complete, init_serial
 from prefixsynth.esat import (
     catalan,
     count_trees,
-    derive_trace,
     design_space_log10,
     extract_optimal,
     extract_perturbed,
@@ -19,7 +18,15 @@ from prefixsynth.esat import (
 )
 from prefixsynth.graph import Node
 from prefixsynth.lang import text_to_backbone
-from prefixsynth.policy import Action, PolicyError, RegroupTrace, parse_script
+from prefixsynth.policy import (
+    Action,
+    BackboneWalkPolicy,
+    Phase1Result,
+    PolicyError,
+    RegroupTrace,
+    parse_script,
+    run_phase1,
+)
 from prefixsynth.timing import ArrivalProfile, DelayModel, backbone_cost
 
 from oracles import (
@@ -30,6 +37,7 @@ from oracles import (
     saturate_ref,
     shape_cost,
     shape_to_backbone,
+    walk_ref,
 )
 
 
@@ -186,32 +194,42 @@ def test_design_space_magnitudes() -> None:
     assert catalan(15) == catalan_ref(15) == 9_694_845
 
 
+def _walk(target) -> Phase1Result:
+    """Phase 1 walked to ``target`` on the datagen budget, with the check
+    that it finishes there after exactly the reference steps."""
+    width = target.width
+    result = run_phase1(
+        width, ArrivalProfile.uniform(width), None, width - target.level,
+        BackboneWalkPolicy(target),
+    )
+    assert result.finished
+    assert result.backbone == target
+    steps = [((a.msb, a.lsb), (b.msb, b.lsb)) for a, b in (s.args for s in result.trace.steps)]
+    assert steps == walk_ref(target)
+    assert len(steps) == width - 1 - target.level
+    return result
+
+
 def test_derive_trace_balanced_eight() -> None:
-    trace = derive_trace(balanced_backbone(8))
+    trace = _walk(balanced_backbone(8)).trace
     assert len(trace.steps) == 4
     assert trace.steps[-1] == Action("regroup", (Node(7, 6), Node(5, 4)))
-    assert trace.replay().nodes == balanced_backbone(8).nodes
 
 
-@pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("width", range(2, 9))
 def test_derive_trace_exhaustive_small(width: int) -> None:
-    serial_nodes = init_serial(width).nodes
     for shape in all_shapes(width - 1, 0):
-        target = shape_to_backbone(shape)
-        trace = derive_trace(target)
-        assert trace.replay().nodes == target.nodes
-        assert len(trace.steps) == len(target.nodes - serial_nodes)
+        _walk(shape_to_backbone(shape))
 
 
-@given(st.integers(2, 12), st.randoms(use_true_random=False))
+@given(st.integers(2, 40), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_derive_trace_random_targets(width: int, rng) -> None:
-    target = shape_to_backbone(random_shape(width - 1, 0, rng))
-    assert derive_trace(target).replay().nodes == target.nodes
+    _walk(shape_to_backbone(random_shape(width - 1, 0, rng)))
 
 
 def test_trace_text_round_trip() -> None:
-    trace = derive_trace(balanced_backbone(8))
+    trace = _walk(balanced_backbone(8)).trace
     text = "".join(step.to_line() + "\n" for step in trace.steps)
     assert text.splitlines()[-1] == "regroup 7 6 5 4"
     steps, _ = parse_script(text)

@@ -19,10 +19,11 @@ from prefixsynth.backbone import (
     find_candidates,
     init_serial,
 )
-from prefixsynth.esat import derive_trace, extract_optimal, saturate
+from prefixsynth.esat import extract_optimal, saturate
 from prefixsynth.graph import Node
 from prefixsynth.policy import (
     Action,
+    BackboneWalkPolicy,
     CriticalPathRefinePolicy,
     DecisionContext,
     PolicyAbort,
@@ -40,7 +41,7 @@ from prefixsynth.policy import (
 )
 from prefixsynth.timing import ArrivalProfile, DelayModel, graph_arrivals
 
-from oracles import random_shape, shape_to_backbone
+from oracles import random_shape, shape_to_backbone, walk_ref
 
 MODEL = DelayModel()
 
@@ -192,27 +193,39 @@ def test_system_prompts_are_versioned_assets() -> None:
         system_prompt(3)
 
 
+def _ref_steps(target) -> list[Action]:
+    return [Action("regroup", (Node(*a), Node(*b))) for a, b in walk_ref(target)]
+
+
 def test_run_phase1_scripted_reproduces_figure() -> None:
-    trace = derive_trace(balanced_backbone(8))
+    steps = _ref_steps(balanced_backbone(8))
     result = run_phase1(
         8, ArrivalProfile.uniform(8), None, 16,
-        ScriptedPolicy(trace.steps),
+        ScriptedPolicy(steps),
     )
     assert result.finished
     assert Node(7, 4) in result.backbone.nodes
     assert Node(5, 0) not in result.backbone.nodes
-    assert result.trace.steps == trace.steps
+    assert list(result.trace.steps) == steps
 
 
-def _optimum_replay(width: int, profile: ArrivalProfile) -> ScriptedPolicy:
-    """The offline phase-1 policy: the e-graph optimum's regroup trace."""
+def _optimum_walk(width: int, profile: ArrivalProfile) -> BackboneWalkPolicy:
+    """The offline phase-1 policy: a walk to the e-graph optimum."""
     optimum = extract_optimal(saturate(init_serial(width)), profile, MODEL)
-    return ScriptedPolicy(derive_trace(optimum).steps)
+    return BackboneWalkPolicy(optimum)
+
+
+def test_backbone_walk_fails_when_target_is_unreachable() -> None:
+    # Regroups only create nodes, so no walk leads back to the serial chain.
+    ctx = dataclasses.replace(_phase1_ctx(), backbone=balanced_backbone(4))
+    assert ctx.candidates
+    with pytest.raises(PolicyError):
+        BackboneWalkPolicy(init_serial(4)).decide(ctx)
 
 
 def test_run_phase1_width_two_forced_finish() -> None:
     profile = ArrivalProfile.uniform(2)
-    result = run_phase1(2, profile, None, 4, _optimum_replay(2, profile))
+    result = run_phase1(2, profile, None, 4, _optimum_walk(2, profile))
     assert result.finished
     assert result.iterations == 1
     assert result.backbone.nodes == init_serial(2).nodes
@@ -220,14 +233,15 @@ def test_run_phase1_width_two_forced_finish() -> None:
 
 def test_deterministic_policies_never_render_state(monkeypatch) -> None:
     profile = ArrivalProfile.preset("random", 24, MODEL, seed=3)
-    replay = _optimum_replay(24, profile)
+    walk = _optimum_walk(24, profile)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a view derived for a policy that never reads it")
 
-    for name in ("to_timed_sexpr", "render_epr", "find_candidates", "critical_path"):
+    # The walk reads the candidate list, but never renders it as a menu.
+    for name in ("to_timed_sexpr", "render_epr", "candidates_text", "critical_path"):
         monkeypatch.setattr(policy_module, name, refuse)
-    p1 = run_phase1(24, profile, None, 64, replay, MODEL)
+    p1 = run_phase1(24, profile, None, 64, walk, MODEL)
     assert p1.finished and p1.trace.steps
     p2 = run_phase2(complete(p1.backbone), 0.3, 64, CriticalPathRefinePolicy(), profile, MODEL)
     assert p2.actions
@@ -348,10 +362,10 @@ def test_run_phase2_requires_complete_graph() -> None:
 @settings(max_examples=30, deadline=None)
 def test_scripted_trace_replay_is_exact(width: int, rng) -> None:
     target = shape_to_backbone(random_shape(width - 1, 0, rng))
-    trace = derive_trace(target)
+    steps = _ref_steps(target)
     result = run_phase1(
-        width, ArrivalProfile.uniform(width), None, len(trace.steps) + 1,
-        ScriptedPolicy(trace.steps),
+        width, ArrivalProfile.uniform(width), None, len(steps) + 1,
+        ScriptedPolicy(steps),
     )
     assert result.backbone.nodes == target.nodes
 
