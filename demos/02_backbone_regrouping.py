@@ -4,6 +4,8 @@ The backbone is the carry cone of the most significant bit.  A regroup move
 rewrites ``(x (y z))`` to ``((x y) z)`` on the ridge, trading depth for a
 different association.  Candidate moves are enumerated automatically; applying
 the right sequence turns the 8-bit serial chain into the balanced tree.
+Each backbone prints as the timed s-expression a phase-1 prompt shows: one
+line per node, unindented, with the parentheses giving the nesting.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Perturbed extraction draws diverse near-optimal backbones from the interval
 e-graph (one e-class per bit range, one e-node per split point); the
 deficiency filter keeps those whose completion adds no extra
-depth.  Each survivor becomes a multi-turn tool-call sample, recorded from a
-phase-1 run that walks the serial chain to it.
+depth.  Each survivor becomes a sample of single-turn tool calls, recorded
+from a phase-1 run that walks the serial chain to it at the serving budget.
 Finally a refined design is emitted as structural Verilog and re-simulated.
 """
 
@@ -46,7 +46,7 @@ def main() -> None:
         f"{len(unique)} unique, {len(kept)} pass the deficiency filter"
     )
 
-    samples = synthesize_samples(kept, profile, model)
+    samples = synthesize_samples(kept, profile, model, max_iters=64)
     turns = sum(len(sample.turns) for sample in samples)
     print(f"synthesized {len(samples)} samples, {turns} turns")
 

@@ -229,29 +229,29 @@ def to_timed_sexpr(
 ) -> str:
     """Render the backbone as the timing-annotated s-expression block.
 
-    Higher-significance operands are listed first.  A group that is a first
-    operand closes on its own line; trailing groups collapse their closing
+    Higher-significance operands are listed first.  No line is indented:
+    the parentheses carry the nesting.  A group that is a first operand
+    closes on its own line; trailing groups collapse their closing
     parentheses onto the final leaf.
     """
     arrivals = graph_arrivals(bb, profile, model).arrivals
     parents = bb.parents
     lines: list[str] = []
 
-    def emit(node: Node, indent: int, suffix: str, is_root: bool) -> None:
-        pad = " " * indent
+    def emit(node: Node, suffix: str, is_root: bool) -> None:
         if node.span == 1:
-            lines.append(f"{pad}input {node.token()} [arrival={arrivals[node]:.4f}]{suffix}")
+            lines.append(f"input {node.token()} [arrival={arrivals[node]:.4f}]{suffix}")
             return
-        head = f"{pad}{node.token()} [arrival={arrivals[node]:.4f}]"
+        head = f"{node.token()} [arrival={arrivals[node]:.4f}]"
         lines.append(head if is_root else head + " =")
-        lines.append(f"{pad}group(")
+        lines.append("group(")
         up, lp = parents[node]
-        emit(up, indent + 2, ",", False)
+        emit(up, ",", False)
         if suffix == ",":
-            emit(lp, indent + 2, "", False)
-            lines.append(f"{pad}),")
+            emit(lp, "", False)
+            lines.append("),")
         else:
-            emit(lp, indent + 2, ")" + suffix, False)
+            emit(lp, ")" + suffix, False)
 
-    emit(bb.root, 0, "", True)
+    emit(bb.root, "", True)
     return "\n".join(lines)

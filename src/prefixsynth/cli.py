@@ -89,9 +89,9 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> RunConfig:
-        """``datagen`` walks phase 1 to each sample's backbone on a budget
-        of its own, so it parses neither ``--max-iters`` nor ``--policy``;
-        its config carries their defaults."""
+        """``datagen`` parses neither ``--max-iters`` nor ``--policy``; its
+        config carries their defaults, so it records its samples at the
+        budget that serving uses by default."""
         _check_width(args.bits)
         max_iters = getattr(args, "max_iters", None)
         if max_iters is None:
@@ -311,7 +311,9 @@ def cmd_datagen(args: argparse.Namespace) -> int:
     # One backbone at a time, so only one sample's text is held at once.
     with _create(out, "samples.jsonl") as fh:
         for bb in kept:
-            samples = synthesize_samples([bb], cfg.profile, cfg.model, cfg.target)
+            samples = synthesize_samples(
+                [bb], cfg.profile, cfg.model, cfg.target, max_iters=cfg.max_iters
+            )
             fh.write(emit_samples(samples))
             written += len(samples)
     print(

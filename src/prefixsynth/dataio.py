@@ -1,10 +1,10 @@
 """Training-sample synthesis, structural Verilog export, and CSV reports.
 
-Samples follow the tool-calling chat format: a system prompt plus one turn
-per decision, each turn carrying the serialized state, an empty think slot
-for external filling, the tool-call record, and the tool feedback.  Each
-sample is recorded from a :func:`~prefixsynth.policy.run_phase1` walk to one
-backbone, so its prompts come from the served loop's own contexts.  The
+A sample is a system prompt plus one single-turn pair per decision: the
+user prompt the served loop sends, an empty think slot for external filling,
+and the tool call made on it.  Each sample is recorded from a
+:func:`~prefixsynth.policy.run_phase1` walk to one backbone at the serving
+budget, so its prompts are the served loop's own.  The
 Verilog emitters produce gate-level netlists in two styles; a small netlist
 interpreter closes the loop so emitted designs can be checked against
 integer addition without external tools.
@@ -24,7 +24,6 @@ from .policy import (
     DecisionContext,
     Policy,
     build_phase1_prompt,
-    candidates_text,
     run_phase1,
     system_prompt,
 )
@@ -53,17 +52,16 @@ class SampleFormatError(Exception):
 
 @dataclass(frozen=True, eq=True)
 class SampleTurn:
-    """One decision turn: state shown, think slot, tool call, feedback."""
+    """One decision: the user prompt served, the think slot, the tool call."""
 
     state: str
     call: dict
-    feedback: str
     think: str = THINK_SLOT
 
 
 @dataclass(frozen=True, eq=True)
 class TrainingSample:
-    """A full tool-calling conversation recorded from one phase-1 run."""
+    """The single-turn decisions of one phase-1 run, under one system prompt."""
 
     system: str
     width: int
@@ -75,12 +73,7 @@ class TrainingSample:
             "system": self.system,
             "width": self.width,
             "turns": [
-                {
-                    "state": t.state,
-                    "think": t.think,
-                    "call": t.call,
-                    "feedback": t.feedback,
-                }
+                {"state": t.state, "think": t.think, "call": t.call}
                 for t in self.turns
             ],
             "metadata": self.metadata,
@@ -90,12 +83,7 @@ class TrainingSample:
     def from_record(cls, record: dict) -> TrainingSample:
         try:
             turns = tuple(
-                SampleTurn(
-                    state=t["state"],
-                    think=t["think"],
-                    call=t["call"],
-                    feedback=t["feedback"],
-                )
+                SampleTurn(state=t["state"], think=t["think"], call=t["call"])
                 for t in record["turns"]
             )
             return cls(
@@ -127,29 +115,26 @@ def synthesize_samples(
     profile: ArrivalProfile,
     model: DelayModel = DelayModel(),
     target: float | None = None,
+    *,
+    max_iters: int,
 ) -> list[TrainingSample]:
-    """One chat-format sample per backbone, recorded from a phase-1 run that
-    walks the serial chain to it.
+    """One sample per backbone, recorded from a phase-1 run that walks the
+    serial chain to it on the serving budget ``max_iters``.
 
-    The run's budget is ``width - level``: one decision per regroup plus the
-    finish.  Each turn shows the prompt the run's context builds; a regroup
-    turn's feedback is the next context's annotated s-expression plus its
-    candidate menu, so each backbone renders once.
+    Each turn holds the prompt the run's context builds and the call made
+    on it, so each backbone renders once.  A budget too small for a walk
+    to finish raises ``ValueError``.
     """
     system = system_prompt(1)
     samples = []
     for bb in backbones:
         recorder = _Recorder(BackboneWalkPolicy(bb))
-        run_phase1(bb.width, profile, target, bb.width - bb.level, recorder, model)
-        contexts, calls = zip(*recorder.turns)
-        feedback = [
-            "{}\n{}".format(ctx.state_text.rstrip("\n"), candidates_text(ctx.candidates))
-            for ctx in contexts[1:]
-        ]
-        feedback.append("backbone accepted; phase 1 complete")
+        result = run_phase1(bb.width, profile, target, max_iters, recorder, model)
+        if not result.finished:
+            raise ValueError(f"walk needs {bb.width - bb.level} decisions, budget is {max_iters}")
         turns = tuple(
-            SampleTurn(state=build_phase1_prompt(ctx), call=call.to_json(), feedback=text)
-            for ctx, call, text in zip(contexts, calls, feedback)
+            SampleTurn(state=build_phase1_prompt(ctx), call=call.to_json())
+            for ctx, call in recorder.turns
         )
         samples.append(
             TrainingSample(

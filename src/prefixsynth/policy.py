@@ -273,7 +273,7 @@ class Policy(Protocol):
 
 
 def candidates_text(candidates: Sequence[tuple[Node, Node]]) -> str:
-    """The numbered candidate menu shown in prompts and tool feedback."""
+    """The numbered candidate menu shown in phase-1 prompts."""
     if not candidates:
         return "Applicable regroup candidates: none."
     lines = ["Applicable regroup candidates:"]

@@ -228,15 +228,15 @@ def test_criterion_06_design_space_magnitude() -> None:
 TIMED_SEXPR_GOLDEN = """\
 (3,0) [arrival=0.1050]
 group(
-  (3,2) [arrival=0.0600] =
-  group(
-    input (3,3) [arrival=0.0150],
-    input (2,2) [arrival=0.0250]
-  ),
-  (1,0) [arrival=0.0700] =
-  group(
-    input (1,1) [arrival=0.0350],
-    input (0,0) [arrival=0.0350]))"""
+(3,2) [arrival=0.0600] =
+group(
+input (3,3) [arrival=0.0150],
+input (2,2) [arrival=0.0250]
+),
+(1,0) [arrival=0.0700] =
+group(
+input (1,1) [arrival=0.0350],
+input (0,0) [arrival=0.0350]))"""
 
 EPR_GOLDEN = """\
 Bitwidth: 4
@@ -396,7 +396,7 @@ def test_criterion_10_datagen_filter() -> None:
             for i in range(32)
         ]
         kept = filter_low_deficiency(list(dict.fromkeys(exprs)), threshold=0)
-        samples = synthesize_samples(kept, profile, MODEL)
+        samples = synthesize_samples(kept, profile, MODEL, max_iters=max(64, width))
         ok = ok and len(samples) == len(kept)
         total += len(samples)
         for sample in samples:

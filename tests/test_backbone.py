@@ -27,20 +27,6 @@ from oracles import (
     shape_to_backbone,
 )
 
-TIMED_SEXPR_GOLDEN = """\
-(3,0) [arrival=0.1050]
-group(
-  (3,2) [arrival=0.0600] =
-  group(
-    input (3,3) [arrival=0.0150],
-    input (2,2) [arrival=0.0250]
-  ),
-  (1,0) [arrival=0.0700] =
-  group(
-    input (1,1) [arrival=0.0350],
-    input (0,0) [arrival=0.0350]))"""
-
-
 def test_init_serial_and_balanced_stats() -> None:
     for bb, level in ((init_serial(8), 7), (balanced_backbone(8), 3), (init_serial(2), 1)):
         assert (len(bb.parents), bb.level) == (bb.width - 1, level)
@@ -181,12 +167,6 @@ def test_backbone_edits_never_touch_their_input() -> None:
     parents[Node(3, 2)] = (Node(3, 3), Node(2, 2))
     assert bb == init_serial(4)
     assert hash(bb) == hash(init_serial(4))
-
-
-def test_timed_sexpr_golden_block() -> None:
-    profile = ArrivalProfile((0.0350, 0.0350, 0.0250, 0.0150))
-    text = to_timed_sexpr(balanced_backbone(4), profile, DelayModel())
-    assert text == TIMED_SEXPR_GOLDEN
 
 
 def test_timed_sexpr_unit_step() -> None:

@@ -142,7 +142,8 @@ def test_datagen_samples_are_the_served_prompts(bits: int, tmp_path: Path) -> No
             return next(replies)
 
         policy = RemoteLlmPolicy(RemoteEndpoint("http://unused"), transport)
-        result = run_phase1(bits, profile, 0.5, len(sample.turns), policy, model)
+        # the budget serving uses by default, max(64, --bits)
+        result = run_phase1(bits, profile, 0.5, max(64, bits), policy, model)
         assert [m[0] for m in seen] == [{"role": "system", "content": sample.system}] * len(seen)
         assert [m[1:] for m in seen] == [
             [{"role": "user", "content": turn.state}] for turn in sample.turns

@@ -31,7 +31,9 @@ from oracles import random_shape, shape_to_backbone
 
 
 def test_synthesize_samples_shape() -> None:
-    samples = synthesize_samples([balanced_backbone(8)], ArrivalProfile.uniform(8))
+    samples = synthesize_samples(
+        [balanced_backbone(8)], ArrivalProfile.uniform(8), max_iters=64
+    )
     assert len(samples) == 1
     sample = samples[0]
     assert sample.width == 8
@@ -41,17 +43,11 @@ def test_synthesize_samples_shape() -> None:
     for turn in sample.turns:
         assert turn.think == THINK_SLOT
     assert sample.turns[-1].call == {"tool": "finish1", "args": {}}
-    # the budget is one decision per regroup plus the finish
-    assert "Iteration 5 of 5." in sample.turns[-1].state
-
-
-def test_sample_turns_carry_fresh_feedback() -> None:
-    samples = synthesize_samples([balanced_backbone(8)], ArrivalProfile.uniform(8))
-    first = samples[0].turns[0]
-    # feedback shows the post-step tree and the next candidate menu
-    assert "[arrival=" in first.feedback
-    assert "candidates" in first.feedback.lower()
-    assert first.call["tool"] == "regroup"
+    # the prompts carry the budget they were served at
+    assert "Iteration 5 of 64." in sample.turns[-1].state
+    # a budget that cuts the walk short records no sample
+    with pytest.raises(ValueError, match="walk needs 5 decisions, budget is 4"):
+        synthesize_samples([balanced_backbone(8)], ArrivalProfile.uniform(8), max_iters=4)
 
 
 def test_synthesize_samples_renders_each_backbone_once(monkeypatch) -> None:
@@ -72,7 +68,7 @@ def test_synthesize_samples_renders_each_backbone_once(monkeypatch) -> None:
     backbones = [balanced_backbone(8), init_serial(8)] + [
         shape_to_backbone(random_shape(7, 0, rng)) for _ in range(4)
     ]
-    samples = synthesize_samples(backbones, ArrivalProfile.uniform(8))
+    samples = synthesize_samples(backbones, ArrivalProfile.uniform(8), max_iters=64)
     # every walk visits the serial start plus one backbone per step
     visited = sum(bb.width - bb.level for bb in backbones)
     assert len(samples) == len(backbones)
@@ -81,7 +77,7 @@ def test_synthesize_samples_renders_each_backbone_once(monkeypatch) -> None:
 
 def test_emit_parse_round_trip() -> None:
     samples = synthesize_samples(
-        [balanced_backbone(8), init_serial(8)], ArrivalProfile.uniform(8)
+        [balanced_backbone(8), init_serial(8)], ArrivalProfile.uniform(8), max_iters=64
     )
     text = emit_samples(samples)
     assert text.count("\n") == len(samples)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import re
 import urllib.error
 import urllib.request
@@ -21,6 +22,7 @@ from prefixsynth.backbone import (
 )
 from prefixsynth.esat import extract_optimal, saturate
 from prefixsynth.graph import Node
+from prefixsynth.structures import brent_kung_graph, kogge_stone_graph, sklansky_graph
 from prefixsynth.policy import (
     Action,
     BackboneWalkPolicy,
@@ -184,6 +186,31 @@ def test_phase2_prompt_contains_efficiency_line() -> None:
     assert "Lvl efficiency:2/3" in prompt
     assert f"area={g.size}," in prompt
     assert build_phase2_prompt(ctx) == prompt
+
+
+def test_prompts_grow_linearly_with_the_width() -> None:
+    # A prompt must fit a model's context at every width the CLI accepts,
+    # so its size is bounded by a constant plus a fixed cost per bit
+    # (phase 1) or per node (phase 2).
+    rng = random.Random(7)
+    for width in range(2, 257):
+        profile = ArrivalProfile.preset("random", width, MODEL, seed=width)
+        shape = random_shape(width - 1, 0, rng)
+        for bb in (init_serial(width), balanced_backbone(width), shape_to_backbone(shape)):
+            ctx = DecisionContext(1, 1, max(64, width), profile, MODEL, 0.5, backbone=bb)
+            size = len(build_phase1_prompt(ctx).encode())
+            assert size <= 1000 + 110 * width, (width, bb.level, size)
+    for width in (2, 3, 8, 16, 64, 128, 200, 256):
+        profile = ArrivalProfile.preset("random", width, MODEL, seed=width)
+        for graph in (
+            complete(init_serial(width)),
+            sklansky_graph(width),
+            kogge_stone_graph(width),
+            brent_kung_graph(width),
+        ):
+            ctx = DecisionContext(2, 1, max(64, width), profile, MODEL, 0.5, graph=graph)
+            size = len(build_phase2_prompt(ctx).encode())
+            assert size <= 2000 + 80 * (graph.size + width), (width, graph.size, size)
 
 
 def test_system_prompts_are_versioned_assets() -> None:
