@@ -15,19 +15,24 @@ bottom-up dynamic program over the ranges under the tree cost model; a
 seeded perturbed variant draws diverse low-cost shapes from the same
 e-graph.  Phase 1 reaches an extracted tree with ``BackboneWalkPolicy``.
 
-Both extractions share one DP.  It keeps each range's cost plus one step
-in a row table ``ready[lo][hi]`` and a column table ``ready_by_hi[hi][lo]``,
-so all split points of a class are scanned as two list slices.  It visits
-classes in (span, lsb) order and splits in ascending order, and every
-e-node costs ``max(low, high) + step`` plus one noise value in that order;
-the seeded noise stream and the tie-break make the perturbed samples, and
-so the datagen goldens, depend on exactly this order.
+Both extractions share one DP over a row table ``ready[lo][hi]`` and a
+column table ``ready_by_hi[hi][lo]`` of range costs plus one step.  A range
+costs no less than a range inside it, so a class's e-node costs form a
+valley over its split points: optimal extraction binary-searches it, in
+O(n^2 log n), and picks the tree a full scan picks.  Per-e-node noise
+breaks that order, so perturbed extraction scans each class's splits as
+two list slices, in O(n^3).  It visits classes in (span, lsb) order and
+splits in ascending order, and every e-node costs ``max(low, high) + step``
+plus one noise value in that order; the seeded noise stream and the
+tie-break make the perturbed samples, and so the datagen goldens, depend
+on exactly this order.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import islice, repeat
-from operator import add, mul
+from operator import add, mul, neg
 from random import Random
 from typing import Iterable, Iterator
 
@@ -116,11 +121,18 @@ def _extract(
     high operands one ulp apart can round to one ``cost + step``: ties
     prefer the cheaper high operand, then the smaller split.  ``noise``
     supplies one value per e-node, leaves first, then classes in (span,
-    lsb) order and splits in ascending order."""
+    lsb) order and splits in ascending order, and is scanned in full.
+    Without it, low operands rise and high operands fall with the split
+    (exactly so in floats: ``max`` and rounded ``+ step`` are monotone), so
+    binary searches find the first split ``k0`` whose low operand is at
+    least its high one, the minimum at ``k0 - 1`` or ``k0`` (the class's
+    own cells are ``inf``), the last split that ties it, and the scan's
+    pick: the first split whose unrounded high cost equals that last one's,
+    which lies on the tie plateau because high costs fall too."""
     step = model.step
     width = eg.width
-    ready = [[0.0] * width for _ in range(width)]
-    ready_by_hi = [[0.0] * width for _ in range(width)]
+    ready = [[math.inf] * width for _ in range(width)]
+    ready_by_hi = [[math.inf] * width for _ in range(width)]
     cost_by_hi = [[0.0] * width for _ in range(width)]
     best_split = [[0] * width for _ in range(width)]
     for lo, hi in eg.classes():
@@ -128,11 +140,20 @@ def _extract(
             best = profile[lo]
             if noise is not None:
                 best += next(noise)
+        elif noise is None:
+            lows, highs, high_costs = ready[lo], ready_by_hi[hi], cost_by_hi[hi]
+            k0 = bisect_left(
+                range(hi + 1), True, lo + 1, hi + 1,
+                key=lambda k: lows[k - 1] >= highs[k],
+            )
+            best = min(highs[k0 - 1], lows[k0 - 1])
+            last = bisect_right(lows, best, k0 - 1, hi)
+            best_split[lo][hi] = bisect_left(
+                high_costs, -high_costs[last], lo + 1, last, key=neg
+            )
         else:
             scan = map(max, ready[lo][lo:hi], ready_by_hi[hi][lo + 1 : hi + 1])
-            if noise is not None:
-                scan = map(add, scan, islice(noise, hi - lo))
-            costs = list(scan)
+            costs = list(map(add, scan, islice(noise, hi - lo)))
             best = min(costs)
             if costs.count(best) == 1:
                 best_split[lo][hi] = lo + 1 + costs.index(best)
