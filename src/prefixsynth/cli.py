@@ -242,14 +242,13 @@ def _synthesize(
     """Phase 1, completion and phase 2 for one target.  When a phase aborts,
     the partial ``trace.txt`` is written to the output directory."""
     phase1, phase2 = policies()
-    p1: Phase1Result | None = None
     try:
         p1 = run_phase1(cfg.width, cfg.profile, target, cfg.max_iters, phase1, cfg.model)
         p2 = run_phase2(
             complete(p1.backbone), target, cfg.max_iters, phase2, cfg.profile, cfg.model
         )
     except PolicyAbort as exc:
-        if p1 is None:
+        if exc.phase == 1:
             text = _trace_text(exc.partial, None)
         else:
             text = _trace_text(p1, exc.partial)
@@ -460,8 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
     except PolicyAbort as exc:
-        phase = 1 if isinstance(exc.partial, Phase1Result) else 2
-        print(f"{args.command}: phase {phase} aborted: {exc}", file=sys.stderr)
+        print(f"{args.command}: phase {exc.phase} aborted: {exc}", file=sys.stderr)
         return 2
 
 

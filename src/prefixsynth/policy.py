@@ -7,10 +7,14 @@ critical-path refinement) keep everything offline, while
 :class:`RemoteLlmPolicy` speaks a chat-completions JSON protocol to an
 external model.  The offline flow walks phase 1 to the e-graph's min-cost
 backbone with :class:`BackboneWalkPolicy`, and datagen records its samples
-from the same walk, so served and recorded episodes share one loop.  The
-orchestrators validate every tool call before applying it, feed rejection
-reasons back to the policy, and abort with the partial trace once a policy
-misbehaves three times in a row.
+from the same walk, so served and recorded episodes share one loop.
+
+That loop alone accepts, rejects and retries decisions.  A decision is
+rejected when the policy raises :class:`PolicyError` (a remote reply with
+no valid tool call, a transport failure), names another phase's tool, or
+names an edit that does not apply.  The reason goes into the run's notes
+and into the next prompt's feedback; three rejections in a row abort with
+the partial result.
 """
 from __future__ import annotations
 
@@ -70,10 +74,12 @@ class PolicyError(Exception):
 
 
 class PolicyAbort(Exception):
-    """The orchestrator gave up on a policy; carries the partial result."""
+    """The orchestrator gave up on a policy; carries the phase it was in and
+    that phase's partial result."""
 
-    def __init__(self, message: str, partial: object) -> None:
+    def __init__(self, message: str, phase: int, partial: object) -> None:
         super().__init__(message)
+        self.phase = phase
         self.partial = partial
 
 
@@ -222,7 +228,7 @@ class RegroupTrace:
 class DecisionContext:
     """Everything a policy may look at when deciding the next call.
 
-    The state is the backbone in phase 1 and the graph in phase 2; every
+    ``state`` is the backbone in phase 1 and the graph in phase 2; every
     view of it is derived on first access, so a policy pays only for what it
     reads.  ``candidates`` is the phase-1 regroup menu; ``report`` times the
     phase-2 graph against the target, and ``critical`` renders its critical
@@ -237,35 +243,30 @@ class DecisionContext:
     profile: ArrivalProfile
     model: DelayModel
     target: float | None
-    backbone: Backbone | None = None
-    graph: PrefixGraph | None = None
+    state: Backbone | PrefixGraph
     feedback: str | None = None
 
     @property
     def width(self) -> int:
-        return (self.backbone if self.phase == 1 else self.graph).width
+        return self.state.width
 
     @cached_property
     def candidates(self) -> tuple[tuple[Node, Node], ...]:
-        assert self.backbone is not None
-        return tuple(find_candidates(self.backbone))
+        return tuple(find_candidates(self.state))
 
     @cached_property
     def report(self) -> TimingReport:
-        assert self.graph is not None
-        return graph_arrivals(self.graph, self.profile, self.model, self.target)
+        return graph_arrivals(self.state, self.profile, self.model, self.target)
 
     @cached_property
     def critical(self) -> CriticalPath:
-        return critical_path(self.graph, self.report.critical)
+        return critical_path(self.state, self.report.critical)
 
     @cached_property
     def state_text(self) -> str:
         if self.phase == 1:
-            assert self.backbone is not None
-            return to_timed_sexpr(self.backbone, self.profile, self.model)
-        assert self.graph is not None
-        return render_epr(self.graph)
+            return to_timed_sexpr(self.state, self.profile, self.model)
+        return render_epr(self.state)
 
 
 class Policy(Protocol):
@@ -315,7 +316,7 @@ def build_phase1_prompt(ctx: DecisionContext) -> str:
 
 def build_phase2_prompt(ctx: DecisionContext) -> str:
     """Deterministic phase-two prompt: metrics, EPR, critical path."""
-    graph, report = ctx.graph, ctx.report
+    graph, report = ctx.state, ctx.report
     slack_text = "n/a" if report.slack is None else f"{report.slack:.4f}"
     body = [
         f"Metrics: delay={report.delay:.4f}, slack={slack_text}, "
@@ -366,58 +367,51 @@ class Phase2Result:
 
 
 class _Phase(NamedTuple):
-    """One phase for the shared loop: a context template whose phase names
-    the legal tools, the context field that holds the state, the edit, the
-    result."""
+    """One phase for the shared loop: a context template holding the start
+    state, whose phase names the legal tools; the edit; the result."""
 
     base: DecisionContext
-    field: str
     apply: Callable[[object, Action], object]
     result: Callable[[object, tuple[Action, ...], int, bool, tuple[str, ...]], object]
 
 
-def _run(phase: _Phase, state: object, policy: Policy):
+def _run(phase: _Phase, policy: Policy):
     """At most ``max_iterations`` decisions, each a validated action or the
-    phase's finish.  A rejected action is fed back to the policy; three in a
-    row, or a :class:`PolicyError`, abort with the partial result."""
-    number = phase.base.phase
+    phase's finish.  A :class:`PolicyError` from the policy, another phase's
+    tool or an edit that does not apply rejects the decision: its reason is
+    noted and fed back to the policy, and three rejections in a row abort
+    with the partial result."""
+    number, state = phase.base.phase, phase.base.state
     if phase.base.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    finish = f"finish{number}"
     applied: list[Action] = []
     notes: list[str] = []
     feedback: str | None = None
     strikes = 0
-    k = 0
-    while k < phase.base.max_iterations:
-        k += 1
-        ctx = replace(phase.base, iteration=k, feedback=feedback, **{phase.field: state})
+    for k in range(1, phase.base.max_iterations + 1):
+        ctx = replace(phase.base, iteration=k, state=state, feedback=feedback)
         feedback = None
         try:
             action = policy.decide(ctx)
-        except PolicyError as exc:
-            raise PolicyAbort(
-                f"policy failed at iteration {k}: {exc}",
-                phase.result(state, tuple(applied), k, False, tuple(notes)),
-            ) from exc
-        if action.tool == f"finish{number}":
-            return phase.result(state, tuple(applied), k, True, tuple(notes))
-        if action.phase != number:
-            feedback = f"{action.tool} is not legal in phase {number}"
-        else:
-            try:
-                state = phase.apply(state, action)
-                applied.append(action)
-                strikes = 0
-                continue
-            except (RegroupError, RefinementError) as exc:
-                feedback = str(exc)
-        strikes += 1
-        notes.append(f"iteration {k}: rejected ({feedback})")
-        if strikes >= RETRY_BUDGET:
-            raise PolicyAbort(
-                f"{RETRY_BUDGET} consecutive rejected decisions: {feedback}",
-                phase.result(state, tuple(applied), k, False, tuple(notes)),
-            )
+            if action.tool == finish:
+                return phase.result(state, tuple(applied), k, True, tuple(notes))
+            if action.phase != number:
+                raise PolicyError(f"{action.tool} is not legal in phase {number}")
+            state = phase.apply(state, action)
+        except (PolicyError, RegroupError, RefinementError) as exc:
+            feedback = str(exc)
+            strikes += 1
+            notes.append(f"iteration {k}: rejected ({feedback})")
+            if strikes >= RETRY_BUDGET:
+                raise PolicyAbort(
+                    f"{RETRY_BUDGET} consecutive rejected decisions: {feedback}",
+                    number,
+                    phase.result(state, tuple(applied), k, False, tuple(notes)),
+                ) from exc
+            continue
+        applied.append(action)
+        strikes = 0
     return phase.result(state, tuple(applied), k, False, tuple(notes))
 
 
@@ -435,12 +429,11 @@ def run_phase1(
         raise ValueError("width must be >= 2")
 
     phase = _Phase(
-        DecisionContext(1, 0, max_iterations, profile, model, target),
-        "backbone",
+        DecisionContext(1, 0, max_iterations, profile, model, target, init_serial(width)),
         lambda bb, action: regroup(bb, *action.args),
         lambda bb, steps, *rest: Phase1Result(bb, RegroupTrace(width, steps), *rest),
     )
-    return _run(phase, init_serial(width), policy)
+    return _run(phase, policy)
 
 
 def run_phase2(
@@ -464,8 +457,8 @@ def run_phase2(
         # Looked up at call time, so a wrapper installed on the module is used.
         return getattr(refine, action.tool)(graph, *action.args)
 
-    base = DecisionContext(2, 0, max_iterations, profile, model, target)
-    return _run(_Phase(base, "graph", apply, Phase2Result), graph, policy)
+    base = DecisionContext(2, 0, max_iterations, profile, model, target, graph)
+    return _run(_Phase(base, apply, Phase2Result), policy)
 
 
 # -- deterministic policies ----------------------------------------------------
@@ -487,7 +480,7 @@ class BackboneWalkPolicy:
         self._wanted = target.nodes
 
     def decide(self, ctx: DecisionContext) -> Action:
-        if ctx.backbone == self.target:
+        if ctx.state == self.target:
             return Action("finish1")
         # Candidates come highest column first.
         for a, b in reversed(ctx.candidates):
@@ -506,10 +499,7 @@ class CriticalPathRefinePolicy:
     """
 
     def decide(self, ctx: DecisionContext) -> Action:
-        graph = ctx.graph
-        if graph is None:
-            raise PolicyError("critical-path policy needs structured state")
-        report = ctx.report
+        graph, report = ctx.state, ctx.report
         if report.slack is not None and report.slack >= 0:
             return Action("finish2")
 
@@ -638,13 +628,13 @@ def _first_json_object(text: str) -> dict:
 
 
 class RemoteLlmPolicy:
-    """Asks a remote chat model for each decision.
+    """Asks a remote chat model for each decision, in one request.
 
-    Messages are system prompt + built user prompt; the reply must contain a
-    JSON tool call.  Malformed or phase-illegal replies get a corrective
-    re-prompt, three attempts total; transport failures surface as
-    :class:`PolicyError` so the orchestrator can abort with its partial
-    trace.
+    The request is the phase's system prompt and the user prompt the
+    context builds, the single-turn form that datagen records; the reply
+    must contain a JSON tool call.  A reply without a valid one, or a
+    transport failure, raises :class:`PolicyError`, which the phase loop
+    counts as a rejected decision and reports in the next prompt.
     """
 
     def __init__(
@@ -681,26 +671,8 @@ class RemoteLlmPolicy:
 
     def decide(self, ctx: DecisionContext) -> Action:
         build = build_phase1_prompt if ctx.phase == 1 else build_phase2_prompt
-        messages = [
+        reply = self._transport([
             {"role": "system", "content": system_prompt(ctx.phase)},
             {"role": "user", "content": build(ctx)},
-        ]
-        last_error = "no attempts made"
-        for _ in range(RETRY_BUDGET):
-            content = self._transport(messages)
-            try:
-                action = Action.from_json(_first_json_object(_strip_think(content)))
-                if action.phase != ctx.phase:
-                    raise PolicyError(f"{action.tool} is not legal in phase {ctx.phase}")
-                return action
-            except PolicyError as exc:
-                last_error = str(exc)
-                messages = messages + [
-                    {"role": "assistant", "content": content},
-                    {
-                        "role": "user",
-                        "content": f"That response was rejected: {last_error}. "
-                        "Reply with exactly one valid JSON tool call.",
-                    },
-                ]
-        raise PolicyError(f"no valid tool call after {RETRY_BUDGET} attempts: {last_error}")
+        ])
+        return Action.from_json(_first_json_object(_strip_think(reply)))

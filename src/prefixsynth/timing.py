@@ -26,7 +26,10 @@ __all__ = [
     "SweepRow",
     "backbone_cost",
     "graph_arrivals",
+    "SLACK_TOLERANCE",
 ]
+
+SLACK_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,11 @@ def graph_arrivals(
     ``arrival(n) = max over parents p of arrival(p) + step +
     fanout_penalty * (fanout(p) - 1)``; the reported delay is the worst
     output arrival plus the model intercept.
+
+    ``slack`` is ``target - delay``, read as exactly ``0.0`` when it is
+    within ``SLACK_TOLERANCE`` (1e-9 ns) of zero: a target and a delay
+    summed in different orders may differ in the last bit, and such a
+    design meets its target.
     """
     width, parents = graph.width, graph.parents
     if len(profile) != width:
@@ -178,6 +186,8 @@ def graph_arrivals(
     )
     delay = arrivals[end] + model.intercept
     slack = None if target is None else target - delay
+    if slack is not None and abs(slack) <= SLACK_TOLERANCE:
+        slack = 0.0
 
     chain = [end]
     while not chain[-1].is_input:

@@ -31,7 +31,7 @@ from prefixsynth.esat import (
     filter_low_deficiency,
     saturate,
 )
-from prefixsynth.graph import Node, validate
+from prefixsynth.graph import Node, deficiency, validate
 from prefixsynth.policy import (
     BackboneWalkPolicy,
     CriticalPathRefinePolicy,
@@ -421,6 +421,26 @@ def test_criterion_10_datagen_filter() -> None:
         time.perf_counter() - t0,
         30.0,
     )
+
+
+def test_offline_flow_meets_the_sklansky_delay_at_every_width() -> None:
+    """At every width 2-40 and a sample up to 256, for each preset, the
+    default offline flow at the float Sklansky delay (the value that
+    ``repr(target)`` hands the CLI) meets the target and emits a valid
+    design with deficiency >= 0."""
+    failures = []
+    for width in (*range(2, 41), 48, 64, 100, 128, 200, 256):
+        for name in ("uniform", "lsb-first", "random"):
+            profile = ArrivalProfile.preset(name, width, MODEL, seed=1)
+            target = graph_arrivals(sklansky_graph(width), profile, MODEL).delay
+            p1 = _offline_phase1(width, profile, target)
+            graph = run_phase2(complete(p1.backbone), target, max(64, width),
+                               CriticalPathRefinePolicy(), profile, MODEL).graph
+            row = (graph_arrivals(graph, profile, MODEL, target).slack,
+                   validate(graph).ok, deficiency(graph))
+            if row[0] < 0 or not row[1] or row[2] < 0:
+                failures.append(f"{width} {name}: (slack, valid, deficiency) = {row}")
+    assert not failures, "\n".join(failures)
 
 
 def test_criterion_11_qor_floor(tmp_path) -> None:

@@ -221,6 +221,42 @@ def test_eval_scripted_illegal_call_aborts(tmp_path: Path, capsys) -> None:
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "bits,target,area,delay",
+    [
+        (7, "0.12", 11, "0.1200"),
+        (7, "0.11999999999999998", 11, "0.1200"),
+        (14, "0.185", 32, "0.1850"),
+        (14, "0.18499999999999997", 32, "0.1850"),
+    ],
+)
+def test_eval_meets_a_target_one_bit_below_the_delay(
+    tmp_path: Path, bits: int, target: str, area: int, delay: str
+) -> None:
+    # The long targets are the float Sklansky delays at these widths; the
+    # designs that meet them sum the same steps in another order, so their
+    # delays differ in the last bit.  Such a design meets its target, and
+    # phase 2 stops there.
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("eval", "--bits", str(bits), "--target", target,
+                       "--out", str(tmp_path)) == 0
+    header, row = (tmp_path / "report.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (int(cells["area"]), cells["delay"], cells["slack"]) == (area, delay, "0.0000")
+
+
+def test_phase2_abort_keeps_the_phase1_trace(tmp_path: Path, capsys) -> None:
+    # (3,2) drives only (3,0), so it cannot be cloned.
+    script = tmp_path / "bad.txt"
+    script.write_text("regroup 3 3 2 2\nfinish1\nnode_clone (3,2)\n")
+    rc = run_cli(
+        "synthesize", "--bits", "4", "--policy", f"scripted:{script}", "--out", str(tmp_path),
+    )
+    assert rc == 2
+    assert "phase 2 aborted: 3 consecutive rejected decisions" in capsys.readouterr().err
+    assert (tmp_path / "trace.txt").read_text() == "regroup 3 3 2 2\nfinish1\n"
+
+
 def test_eval_extracts_the_optimum_once(tmp_path: Path, monkeypatch) -> None:
     calls = []
 

@@ -158,7 +158,7 @@ def _phase1_ctx(width: int = 4) -> DecisionContext:
         profile=profile,
         model=MODEL,
         target=0.2,
-        backbone=balanced_backbone(width),
+        state=balanced_backbone(width),
     )
 
 
@@ -179,7 +179,7 @@ def test_phase2_prompt_contains_efficiency_line() -> None:
         profile=profile,
         model=MODEL,
         target=0.2,
-        graph=g,
+        state=g,
     )
     prompt = build_phase2_prompt(ctx)
     assert ctx.report.critical == (Node(1, 1), Node(1, 0), Node(2, 0), Node(3, 0))
@@ -197,7 +197,7 @@ def test_prompts_grow_linearly_with_the_width() -> None:
         profile = ArrivalProfile.preset("random", width, MODEL, seed=width)
         shape = random_shape(width - 1, 0, rng)
         for bb in (init_serial(width), balanced_backbone(width), shape_to_backbone(shape)):
-            ctx = DecisionContext(1, 1, max(64, width), profile, MODEL, 0.5, backbone=bb)
+            ctx = DecisionContext(1, 1, max(64, width), profile, MODEL, 0.5, state=bb)
             size = len(build_phase1_prompt(ctx).encode())
             assert size <= 1000 + 110 * width, (width, bb.level, size)
     for width in (2, 3, 8, 16, 64, 128, 200, 256):
@@ -208,7 +208,7 @@ def test_prompts_grow_linearly_with_the_width() -> None:
             kogge_stone_graph(width),
             brent_kung_graph(width),
         ):
-            ctx = DecisionContext(2, 1, max(64, width), profile, MODEL, 0.5, graph=graph)
+            ctx = DecisionContext(2, 1, max(64, width), profile, MODEL, 0.5, state=graph)
             size = len(build_phase2_prompt(ctx).encode())
             assert size <= 2000 + 80 * (graph.size + width), (width, graph.size, size)
 
@@ -244,7 +244,7 @@ def _optimum_walk(width: int, profile: ArrivalProfile) -> BackboneWalkPolicy:
 
 def test_backbone_walk_fails_when_target_is_unreachable() -> None:
     # Regroups only create nodes, so no walk leads back to the serial chain.
-    ctx = dataclasses.replace(_phase1_ctx(), backbone=balanced_backbone(4))
+    ctx = dataclasses.replace(_phase1_ctx(), state=balanced_backbone(4))
     assert ctx.candidates
     with pytest.raises(PolicyError):
         BackboneWalkPolicy(init_serial(4)).decide(ctx)
@@ -286,16 +286,16 @@ def test_context_holds_state_and_derives_its_views() -> None:
     fields = {f.name for f in dataclasses.fields(DecisionContext)}
     assert fields == {
         "phase", "iteration", "max_iterations", "profile", "model", "target",
-        "backbone", "graph", "feedback",
+        "state", "feedback",
     }
     ctx = _phase1_ctx()
     assert ctx.width == 4
     assert "candidates" not in vars(ctx)
-    assert ctx.candidates == tuple(find_candidates(ctx.backbone))
+    assert ctx.candidates == tuple(find_candidates(ctx.state))
     assert vars(ctx)["candidates"] is ctx.candidates
 
     g = complete(init_serial(8))
-    ctx = DecisionContext(2, 1, 8, ArrivalProfile.uniform(8), MODEL, 0.2, graph=g)
+    ctx = DecisionContext(2, 1, 8, ArrivalProfile.uniform(8), MODEL, 0.2, state=g)
     assert not {"report", "critical"} & set(vars(ctx))
     assert ctx.report == graph_arrivals(g, ctx.profile, MODEL, 0.2)
     assert ctx.critical.nodes == ctx.report.critical
@@ -324,6 +324,7 @@ def test_run_phase1_aborts_on_persistent_illegal_call() -> None:
     policy = ScriptedPolicy([Action("regroup", (Node(9, 9), Node(8, 8)))])
     with pytest.raises(PolicyAbort) as exc_info:
         run_phase1(4, ArrivalProfile.uniform(4), None, 8, policy)
+    assert exc_info.value.phase == 1
     partial = exc_info.value.partial
     assert partial.trace.steps == ()
     assert not partial.finished
@@ -375,6 +376,7 @@ def test_run_phase2_abort_on_scripted_illegal_action() -> None:
     with pytest.raises(PolicyAbort) as exc_info:
         run_phase2(g, 0.0, 8, policy, ArrivalProfile.uniform(4))
     assert exc_info.value.partial.actions == ()
+    assert exc_info.value.phase == 2
 
 
 def test_run_phase2_requires_complete_graph() -> None:
@@ -416,45 +418,69 @@ def test_remote_policy_parses_tool_call() -> None:
     assert policy.decide(_ctx_for_remote()) == Action("finish1")
 
 
-def test_remote_policy_corrective_reprompt() -> None:
-    replies = iter(
-        [
-            "no json here",
-            '{"tool": "merge", "args": {}}',
-            '{"tool": "regroup", "args": {"a": "(3,2)", "b": "(1,1)"}}',
-        ]
-    )
-    seen: list[list[dict]] = []
-
-    def transport(messages):
-        seen.append(list(messages))
-        return next(replies)
-
-    policy = RemoteLlmPolicy(RemoteEndpoint("http://unused"), transport)
-    call = policy.decide(_ctx_for_remote())
-    assert call == Action("regroup", (Node(3, 2), Node(1, 1)))
-    assert len(seen) == 3
-    # each retry appends the rejected reply and a corrective user message
-    assert seen[1][-1]["role"] == "user"
-    assert "rejected" in seen[1][-1]["content"]
-
-
-def test_remote_policy_gives_up_after_three() -> None:
+def test_remote_policy_raises_on_a_reply_without_a_tool_call() -> None:
     def transport(messages):
         return "still not a tool call"
 
     policy = RemoteLlmPolicy(RemoteEndpoint("http://unused"), transport)
-    with pytest.raises(PolicyError):
+    with pytest.raises(PolicyError, match="no JSON object in response"):
         policy.decide(_ctx_for_remote())
 
 
-def test_remote_policy_rejects_phase_illegal_tool() -> None:
-    def transport(messages):
-        return '{"tool": "level_opt", "args": {"target": "(3,0)"}}'
+class _FakeModel:
+    """A remote policy on canned replies that keeps every request and the
+    context each was built from."""
 
-    policy = RemoteLlmPolicy(RemoteEndpoint("http://unused"), transport)
-    with pytest.raises(PolicyError):
-        policy.decide(_ctx_for_remote())
+    def __init__(self, replies: list[str]) -> None:
+        self.requests: list[list[dict]] = []
+        self.contexts: list[DecisionContext] = []
+        replies = iter(replies)
+
+        def transport(messages: list[dict]) -> str:
+            self.requests.append(messages)
+            return next(replies)
+
+        self.remote = RemoteLlmPolicy(RemoteEndpoint("http://unused"), transport)
+
+    def decide(self, ctx: DecisionContext) -> Action:
+        self.contexts.append(ctx)
+        return self.remote.decide(ctx)
+
+
+def test_run_phase1_feeds_remote_rejections_back() -> None:
+    a, b = find_candidates(init_serial(4))[0]
+    regroup_call = json.dumps({"tool": "regroup", "args": {"a": a.token(), "b": b.token()}})
+    model = _FakeModel([
+        "no json here",
+        '{"tool": "level_opt", "args": {"target": "(3,0)"}}',
+        regroup_call,
+    ])
+    result = run_phase1(4, ArrivalProfile.uniform(4), None, 3, model)
+    assert len(model.requests) == 3
+    assert result.trace.steps == (Action("regroup", (a, b)),)
+    assert result.notes == (
+        "iteration 1: rejected (no JSON object in response)",
+        "iteration 2: rejected (level_opt is not legal in phase 1)",
+    )
+    second = model.requests[1][1]["content"]
+    assert second.endswith("Feedback on your last response: no JSON object in response\n")
+    # One single-turn request per decision: the loop's own prompt, no
+    # corrective chat.
+    for messages, ctx in zip(model.requests, model.contexts, strict=True):
+        assert messages == [
+            {"role": "system", "content": system_prompt(1)},
+            {"role": "user", "content": build_phase1_prompt(ctx)},
+        ]
+
+
+def test_run_phase1_aborts_after_three_malformed_replies() -> None:
+    model = _FakeModel(["not a tool call"] * 9)
+    with pytest.raises(PolicyAbort) as exc_info:
+        run_phase1(4, ArrivalProfile.uniform(4), None, 8, model)
+    assert len(model.requests) == 3
+    assert str(exc_info.value) == "3 consecutive rejected decisions: no JSON object in response"
+    assert exc_info.value.phase == 1
+    assert len(exc_info.value.partial.notes) == 3
 
 
 def test_remote_endpoint_configuration(tmp_path, monkeypatch) -> None:

@@ -14,6 +14,7 @@ from prefixsynth.refine import RefinementError, fanout_opt, level_opt, node_clon
 from prefixsynth.structures import serial_graph, sklansky_graph
 from prefixsynth.timing import (
     ArrivalProfile,
+    SLACK_TOLERANCE,
     DelayModel,
     SweepRow,
     backbone_cost,
@@ -172,6 +173,18 @@ def test_graph_arrivals_slack_sign() -> None:
     assert tight.slack is not None and tight.slack < 0
     assert loose.slack is not None and loose.slack > 0
     assert tight.delay == pytest.approx(loose.delay)
+
+
+def test_slack_within_the_tolerance_reads_zero() -> None:
+    # 7 * step summed in one order; the chain sums the same steps in another.
+    g = serial_graph(8)
+    profile = ArrivalProfile.uniform(8)
+    delay = graph_arrivals(g, profile, DelayModel()).delay
+    for target in (delay, math.nextafter(delay, 0.0), delay + SLACK_TOLERANCE):
+        assert graph_arrivals(g, profile, DelayModel(), target).slack == 0.0
+    off = 2 * SLACK_TOLERANCE
+    assert graph_arrivals(g, profile, DelayModel(), delay - off).slack < 0
+    assert graph_arrivals(g, profile, DelayModel(), delay + off).slack > 0
 
 
 def test_graph_arrivals_intercept_shifts_delay() -> None:
